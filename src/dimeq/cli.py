@@ -17,7 +17,8 @@
     dimeq vanish SPEC.json [--expect-vanish]
 
 Exit codes: 0 success / statement holds; 1 counterexamples found, equation
-fails, or --expect-vanish unmet; 2 invalid input; 3 resource limit refused.
+fails, or --expect-vanish unmet; 2 invalid input; 3 resource limit refused;
+4 internal soundness check failed (a bug in dimeq, not in the input).
 
 Output is deterministic: same invocation, same bytes.  JSON is the default
 format; csv is available for `equation solve`.
@@ -41,7 +42,7 @@ from .equation import (
     enumerate_orbit_solutions,
     reduce_to_whittaker_form,
 )
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InternalError, InvalidInputError, ResourceLimitError
 from .partitions import EpsilonVector, Partition, partition_from_epsilon
 from .representations import attached_orbit, rep_from_json, spec_from_json
 from .theorems import (
@@ -557,6 +558,9 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InternalError, InvalidInputError, ResourceLimitError
 from .partitions import Partition, dominance_floor, enumerate_partitions
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
@@ -58,15 +58,17 @@ def reduce_to_whittaker_form(n: int) -> tuple[int, int, int]:
     The generic orbit (n) has representation dimension n(n-1)/2, which is
     exactly the equation target: a generic representation alone saturates
     the budget.  The minimal Eisenstein representation contributes n-1, the
-    smallest nonzero dimension.  The identity generic == target is asserted.
+    smallest nonzero dimension.  Both identities are checked.
     """
     if n < 2:
         raise InvalidInputError(f"reduce_to_whittaker_form needs n >= 2, got {n}")
     generic = Partition((n,)).rep_dim()
     minimal = dim_rep(minimal_eisenstein(n))
     target = n * (n - 1) // 2
-    assert generic == target
-    assert minimal == n - 1
+    if generic != target:
+        raise InternalError(f"n={n}: generic dim {generic} != target {target}")
+    if minimal != n - 1:
+        raise InternalError(f"n={n}: minimal Eisenstein dim {minimal} != n-1")
     return (generic, minimal, target)
 
 

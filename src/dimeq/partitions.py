@@ -11,7 +11,7 @@ import enum
 import json
 from collections.abc import Iterable, Iterator
 
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError
 
 
 class Dominance(enum.Enum):
@@ -149,7 +149,8 @@ class Partition:
         d = n * n
         for i, p in enumerate(self._parts, start=1):
             d -= (2 * i - 1) * p
-        assert d % 2 == 0 and d >= 0
+        if d % 2 or d < 0:
+            raise InternalError(f"orbit dimension {d} of {self} is odd or negative")
         return d
 
     def rep_dim(self) -> int:
@@ -320,3 +321,36 @@ def partition_from_epsilon(eps: EpsilonVector) -> Partition:
     cuts = eps.zero_positions + (eps.n,)
     runs = [cuts[0]] + [cuts[i] - cuts[i - 1] for i in range(1, len(cuts))]
     return Partition(sorted(runs, reverse=True))
+
+
+def epsilon_preimage(lam: Partition) -> Iterator[EpsilonVector]:
+    """Every epsilon pattern whose attached partition is lam.
+
+    The inverse of partition_from_epsilon: each distinct ordering of lam's
+    parts, read as consecutive run lengths, puts a zero at the end of every
+    run but the last.  Yields len(lam)! / prod(multiplicity!) patterns, each
+    once, in reverse-lexicographic order of the run lengths.
+    """
+    lam._require_nonempty("epsilon_preimage")
+    n = lam.n
+    counts = lam.multiplicities()
+    values = list(counts)  # insertion order: decreasing part values
+
+    def orders(left: int) -> Iterator[tuple[int, ...]]:
+        if left == 0:
+            yield ()
+            return
+        for v in values:
+            if counts[v]:
+                counts[v] -= 1
+                for rest in orders(left - 1):
+                    yield (v,) + rest
+                counts[v] += 1
+
+    for runs in orders(lam.length):
+        bits = [1] * (n - 1)
+        end = 0
+        for r in runs[:-1]:
+            end += r
+            bits[end - 1] = 0
+        yield EpsilonVector(n, bits)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError
 from .partitions import Partition
 
 
@@ -155,7 +155,7 @@ def dim_rep(rep: RepDescriptor) -> int:
 
     For Eisenstein descriptors the value is computed twice — from the
     attached orbit, and as sum of constituent dimensions plus the pairwise
-    block products — and the two routes are asserted equal.
+    block products — and the two routes must agree (InternalError otherwise).
     """
     d = attached_orbit(rep).rep_dim()
     if isinstance(rep, Eisenstein):
@@ -164,7 +164,10 @@ def dim_rep(rep: RepDescriptor) -> int:
         for i in range(len(m)):
             for j in range(i + 1, len(m)):
                 alt += m[i] * m[j]
-        assert alt == d, f"induced-dimension routes disagree: {alt} vs {d} for {rep!r}"
+        if alt != d:
+            raise InternalError(
+                f"induced-dimension routes disagree: {alt} vs {d} for {rep!r}"
+            )
     return d
 
 

@@ -1,9 +1,14 @@
 """Exhaustive desk-scale verifiers and the vanishing-verdict engine.
 
-Each verify_* function sweeps the full finite space its statement quantifies
-over, returns a VerificationReport, and never samples: passed == True means
-every case was covered (sometimes through an exact aggregate such as a
-minimum, which covers the same cases without touching each pair).
+Each verify_* function covers the full finite space its statement
+quantifies over, returns a VerificationReport, and never samples: passed ==
+True means every case was covered.  Coverage is not always a visit to each
+case.  Some sweeps aggregate: they check an exact minimum, or one
+representative per class of cases that share their verdict, and expand a
+class case by case only when it fails.  Others prune: they skip a branch only
+when every case in it is provably outside the budget the statement assumes.
+Either way space_size counts every quantified case, by closed form when they
+are not all visited, so reports do not depend on how the sweep was done.
 
 The verdict engine at the bottom applies the verified statements to one
 concrete integral specification and says what they imply about it.
@@ -11,20 +16,22 @@ concrete integral specification and says what they imply about it.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError
 from .partitions import (
     Dominance,
     EpsilonVector,
     Partition,
     dominance_floor,
     enumerate_partitions,
+    epsilon_preimage,
     partition_from_epsilon,
 )
 from .representations import (
@@ -467,7 +474,8 @@ def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
     for m in m1s[1:]:
         r -= n - m
     closed = sum(m1s) - (len(m1s) - 1) * n - 1
-    assert r == closed
+    if r != closed:
+        raise InternalError(f"residual recursion {r} != closed form {closed} for {m1s}")
     return closed
 
 
@@ -487,6 +495,38 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     return sum(m1s) >= n * (l - 1) + 2
 
 
+def _big_block_tuples(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every nonincreasing k-tuple of blocks m in (n/2, n-1] whose costs
+    m(n-m) sum to at most budget, in combinations_with_replacement order.
+
+    On that range the cost rises strictly as m falls.  So the cheapest way
+    to fill the slots left after choosing a block is to repeat it, and once
+    that overshoots the budget, every smaller block overshoots too: the loop
+    breaks there.  Every prefix visited extends to a yielded tuple.
+    """
+    big = range(n - 1, n // 2, -1)
+    cost = [m * (n - m) for m in big]
+
+    def extend(
+        prefix: tuple[int, ...], start: int, spent: int, left: int
+    ) -> Iterator[tuple[int, ...]]:
+        for i in range(start, len(cost)):
+            if spent + left * cost[i] > budget:
+                break
+            if left == 1:
+                yield prefix + (big[i],)
+            else:
+                yield from extend(prefix + (big[i],), i, spent + cost[i], left - 1)
+
+    return extend((), 0, 0, k)
+
+
+def _big_tuple_count(n: int, k: int) -> int:
+    """How many nonincreasing k-tuples of blocks in (n/2, n-1] there are,
+    within budget or not: C(|big| + k - 1, k), |big| = n - 1 - floor(n/2)."""
+    return math.comb(n - 1 - n // 2 + k - 1, k)
+
+
 def verify_prop4(
     n: int, l: int, mode: str = "paper", cex_cap: int = DEFAULT_CEX_CAP
 ) -> VerificationReport:
@@ -498,9 +538,18 @@ def verify_prop4(
     block ranges over [1, n-1], which is *expected* to produce violations —
     the report then documents the exact gap (small last blocks).
 
+    The search is a pruned DFS over the nonincreasing tuples of blocks in
+    (n/2, n-1] (for strict mode, over the l-1 leading blocks, each then
+    paired with every last block).  It only stops at a block where all the
+    remaining tuples exceed the budget, so it visits every feasible tuple
+    and only those.  space_size counts the whole space in closed form: all
+    l-tuples in paper mode, and all (l-1)-tuple heads times the n - 1 last
+    blocks in strict mode.
+
     In paper mode the closed-form bound l*n/2 + sqrt((l^2-2l)n^2 + 2ln)/2
     >= (l-1)n + 2 is also checked, exactly: both sides square to integers,
     so no tolerance is needed (any float tolerance down to 0 is satisfied).
+    It adds one case to space_size.
     """
     if n < 4:
         raise InvalidInputError(f"verify_prop4 needs n >= 4, got {n}")
@@ -510,27 +559,24 @@ def verify_prop4(
         raise InvalidInputError(f"mode must be 'paper' or 'strict', got {mode!r}")
     budget = n * (n - 1) // 2
     threshold = n * (l - 1) + 2
-    big = tuple(range(n - 1, n // 2, -1))  # every m with m > n/2, m <= n-1
-    space = 0
     feasible = 0
     violations: list[dict] = []
 
     if mode == "paper":
-        tuples = itertools.combinations_with_replacement(big, l)
-        for tup in tuples:
-            space += 1
-            if sum(m * (n - m) for m in tup) > budget:
-                continue
+        space = _big_tuple_count(n, l)
+        for tup in _big_block_tuples(n, l, budget):
             feasible += 1
             if sum(tup) < threshold:
                 violations.append(
                     {"blocks": list(tup), "block_sum": sum(tup), "required": threshold}
                 )
     else:
-        for first in itertools.combinations_with_replacement(big, l - 1):
+        space = _big_tuple_count(n, l - 1) * (n - 1)
+        # The cheapest last block (1 or n-1) costs n-1; heads over
+        # budget - (n-1) admit no last block at all.
+        for first in _big_block_tuples(n, l - 1, budget - (n - 1)):
             head_cost = sum(m * (n - m) for m in first)
             for mj in range(n - 1, 0, -1):
-                space += 1
                 if head_cost + mj * (n - mj) > budget:
                     continue
                 feasible += 1
@@ -571,10 +617,14 @@ def verify_prop5(
     l-1 leading trivial blocks must leave residual at least n - q + 1.
 
     Integer search: blocks m in (n/2, n-1] with sum m(n-m) <= n(q-1)/2 must
-    have residual_bound >= n - q + 1.  The closed-form minimizer check is
+    have residual_bound >= n - q + 1.  The same pruned DFS as verify_prop4
+    visits exactly the feasible (l-1)-tuples, and residual_bound is checked
+    on each; space_size counts all the (l-1)-tuples, feasible or not, in
+    closed form.  The closed-form minimizer check is
     performed exactly when the minimizer lies within the block range
     (2(l-1)(n-1) <= n(q-1)); otherwise the feasible region is empty and the
     closed form is flagged vacuous rather than evaluated outside its domain.
+    An evaluated closed form adds one case to space_size.
     """
     if n < 4:
         raise InvalidInputError(f"verify_prop5 needs n >= 4, got {n}")
@@ -587,14 +637,10 @@ def verify_prop5(
     p = n // q
     budget = n * (q - 1) // 2
     required = n - q + 1
-    big = tuple(range(n - 1, n // 2, -1))
-    space = 0
+    space = _big_tuple_count(n, l - 1)
     feasible = 0
     violations: list[dict] = []
-    for tup in itertools.combinations_with_replacement(big, l - 1):
-        space += 1
-        if sum(m * (n - m) for m in tup) > budget:
-            continue
+    for tup in _big_block_tuples(n, l - 1, budget):
         feasible += 1
         rb = residual_bound(n, tup)
         if rb < required:
@@ -638,11 +684,17 @@ def verify_epsilon_orbit_claim(
     """Patterns with at least n-q+1 nonzero entries never attach an orbit
     dominated by (or equal to) the rectangle (p^q).
 
-    Sweeps all 2^(n-1) bit patterns, keeping those above the threshold; for
-    each, the attached orbit must compare greater or incomparable to the
-    rectangle.  Also records that the boundary pattern with zeros exactly at
-    p, 2p, ..., (q-1)p — one nonzero entry short of the threshold — attaches
-    precisely (p^q), which is why the threshold is sharp.
+    The attached orbit of a pattern is the decreasing rearrangement of its
+    run lengths, and at least n-q+1 ones means at most q-1 runs.  So the
+    sweep is aggregated: each partition of n into at most q-1 parts is
+    compared with the rectangle once, and stands for all the patterns whose
+    runs reorder it.  Only a partition that compares less or equal is
+    expanded back into its patterns, one counterexample each.  space_size
+    counts the patterns, sum_{z=0}^{q-2} C(n-1, z) (z zeros).
+
+    Also records that the boundary pattern with zeros exactly at p, 2p, ...,
+    (q-1)p — one nonzero entry short of the threshold — attaches precisely
+    (p^q), which is why the threshold is sharp.
     """
     if p < 2 or q < 1 or p * q != n:
         raise InvalidInputError(
@@ -650,23 +702,19 @@ def verify_epsilon_orbit_claim(
         )
     target = Partition((p,) * q)
     need = n - q + 1
-    space = 0
+    space = sum(math.comb(n - 1, zeros) for zeros in range(q - 1))
     violations: list[dict] = []
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        if sum(bits) < need:
-            continue
-        space += 1
-        eps = EpsilonVector(n, bits)
-        lam = partition_from_epsilon(eps)
+    for lam in enumerate_partitions(n, max_length=q - 1):
         rel = lam.compare(target)
         if rel in (Dominance.LESS, Dominance.EQUAL):
-            violations.append(
+            violations.extend(
                 {
                     "epsilon": str(eps),
                     "orbit": list(lam.parts),
                     "relation": rel.value,
                     "rectangle": list(target.parts),
                 }
+                for eps in epsilon_preimage(lam)
             )
     boundary_bits = [1] * (n - 1)
     for k in range(1, q):
@@ -765,7 +813,8 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
     # Two Speh-type representations: their dimensions alone overflow the
     # budget, so the equation must have failed.
     if sum(1 for r in reps if is_speh_type(r)) >= 2:
-        assert not report.holds, "two rectangular orbits cannot satisfy the equation"
+        if report.holds:
+            raise InternalError("two rectangular orbits satisfied the equation")
         return EquationFails(by="lemma1", equation_report=report)
 
     if not report.holds:
@@ -865,7 +914,8 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
                 )
         if is_speh_type(last):
             rect = attached_orbit(last).rectangle()
-            assert rect is not None
+            if rect is None:
+                raise InternalError(f"Speh-type {last!r} has no rectangular orbit")
             p, q = rect
             rb = residual_bound(n, first_tops)
             required = n - q + 1

@@ -1,10 +1,16 @@
 """End-to-end CLI contract: bytes, exit codes, files, environment knobs."""
 
+import hashlib
 import json
 
 import pytest
 
 from dimeq import cli
+from dimeq.errors import InternalError
+
+# sha256 of the full `dimeq verify all` stdout; any change to a report's
+# bytes, or to which reports the sweep emits, changes it.
+VERIFY_ALL_SHA256 = "283cc8e4761017d13f2a187bdef1eef329d1a1002abe7d842b4ecaac98f9453e"
 
 
 @pytest.fixture(autouse=True)
@@ -283,6 +289,11 @@ class TestVerifyCommands:
         )
         assert rc == 0 and out.startswith("lemma1: PASSED")
 
+    def test_all_stdout_is_pinned(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "all")
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
     def test_all_capped(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "all", "--max-n", "6")
         assert rc == 0
@@ -333,6 +344,15 @@ class TestVanishCommand:
 
 
 class TestPlumbing:
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch):
+        def broken(n, cex_cap):
+            raise InternalError("routes disagree")
+
+        monkeypatch.setattr(cli, "verify_lemma1", broken)
+        rc, out, err = run_cli(capsys, "verify", "lemma1", "--n", "6")
+        assert rc == 4 and out == ""
+        assert err == "internal error: routes disagree\n"
+
     def test_missing_subcommand_is_exit_2(self, capsys):
         assert run_cli(capsys, "equation")[0] == 2
 

@@ -1,15 +1,24 @@
 """Exhaustive verifiers and the vanishing-verdict engine."""
 
+import ast
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import dimeq.representations
+import dimeq.theorems
 from dimeq import (
+    Dominance,
     Eisenstein,
+    EpsilonVector,
     EquationFails,
     ExplicitOrbit,
     Generic,
     IntegralSpec,
+    InternalError,
     InvalidInputError,
     Lemma2Case,
     NotApplicable,
@@ -19,10 +28,13 @@ from dimeq import (
     TrivialConstituent,
     Vanishes,
     check_corollary1,
+    dim_rep,
     enumerate_partitions,
+    epsilon_preimage,
     lemma2_I,
     lemma2_reduction_cases,
     minimal_eisenstein,
+    partition_from_epsilon,
     residual_bound,
     vanishing_verdict,
     verdict_to_json,
@@ -34,6 +46,7 @@ from dimeq import (
     verify_prop4,
     verify_prop5,
 )
+from dimeq.theorems import _finish
 
 T = TrivialConstituent
 
@@ -263,6 +276,209 @@ class TestCorollary1:
             check_corollary1(5, 3, (4, 4))
         with pytest.raises(InvalidInputError):
             check_corollary1(5, 2, (5, 4))
+
+
+# -- brute-force oracles: every tuple or pattern, feasible or not ---------------
+
+
+def prop4_oracle(n, l, mode, cex_cap):
+    budget = n * (n - 1) // 2
+    threshold = n * (l - 1) + 2
+    big = tuple(range(n - 1, n // 2, -1))
+    space = feasible = 0
+    violations = []
+    if mode == "paper":
+        for tup in itertools.combinations_with_replacement(big, l):
+            space += 1
+            if sum(m * (n - m) for m in tup) > budget:
+                continue
+            feasible += 1
+            if sum(tup) < threshold:
+                violations.append(
+                    {"blocks": list(tup), "block_sum": sum(tup), "required": threshold}
+                )
+    else:
+        for first in itertools.combinations_with_replacement(big, l - 1):
+            head_cost = sum(m * (n - m) for m in first)
+            for mj in range(n - 1, 0, -1):
+                space += 1
+                if head_cost + mj * (n - mj) > budget:
+                    continue
+                feasible += 1
+                if sum(first) + mj < threshold:
+                    violations.append(
+                        {
+                            "blocks": list(first) + [mj],
+                            "block_sum": sum(first) + mj,
+                            "required": threshold,
+                        }
+                    )
+    params = {
+        "n": n,
+        "l": l,
+        "mode": mode,
+        "feasible_count": feasible,
+        "vacuous": feasible == 0,
+    }
+    if mode == "paper":
+        disc = (l * l - 2 * l) * n * n + 2 * l * n
+        rhs = (l - 2) * n + 4
+        holds = disc >= rhs * rhs
+        params["closed_form"] = {"disc": disc, "rhs_sqrt": rhs, "holds": holds}
+        space += 1
+        if not holds:
+            violations.append({"kind": "closed-form", "disc": disc, "rhs_sqrt": rhs})
+    return _finish("prop4", params, space, violations, cex_cap)
+
+
+def prop5_oracle(n, q, l, cex_cap):
+    budget = n * (q - 1) // 2
+    required = n - q + 1
+    big = tuple(range(n - 1, n // 2, -1))
+    space = feasible = 0
+    violations = []
+    for tup in itertools.combinations_with_replacement(big, l - 1):
+        space += 1
+        if sum(m * (n - m) for m in tup) > budget:
+            continue
+        feasible += 1
+        rb = sum(tup) - (len(tup) - 1) * n - 1
+        if rb < required:
+            violations.append(
+                {"blocks": list(tup), "residual_bound": rb, "required": required}
+            )
+    applicable = 2 * (l - 1) * (n - 1) <= n * (q - 1)
+    closed = {"applicable": applicable}
+    if applicable:
+        disc = (l - 1) * (l - 1) * n * n - 2 * n * (l - 1) * (q - 1)
+        rhs = (l - 1) * n - 2 * (q - 2)
+        holds = rhs < 0 or disc > rhs * rhs
+        closed.update({"disc": disc, "rhs_sqrt": rhs, "holds": holds})
+        space += 1
+        if not holds:
+            violations.append({"kind": "closed-form", "disc": disc, "rhs_sqrt": rhs})
+    else:
+        closed["vacuous"] = True
+    params = {
+        "n": n,
+        "q": q,
+        "l": l,
+        "p": n // q,
+        "feasible_count": feasible,
+        "vacuous": feasible == 0,
+        "closed_form": closed,
+    }
+    return _finish("prop5", params, space, violations, cex_cap)
+
+
+def epsilon_oracle(n, p, q, cex_cap):
+    target = Partition((p,) * q)
+    need = n - q + 1
+    space = 0
+    violations = []
+    for bits in itertools.product((0, 1), repeat=n - 1):
+        if sum(bits) < need:
+            continue
+        space += 1
+        eps = EpsilonVector(n, bits)
+        lam = partition_from_epsilon(eps)
+        rel = lam.compare(target)
+        if rel in (Dominance.LESS, Dominance.EQUAL):
+            violations.append(
+                {
+                    "epsilon": str(eps),
+                    "orbit": list(lam.parts),
+                    "relation": rel.value,
+                    "rectangle": list(target.parts),
+                }
+            )
+    boundary_bits = [1] * (n - 1)
+    for k in range(1, q):
+        boundary_bits[k * p - 1] = 0
+    boundary = partition_from_epsilon(EpsilonVector(n, boundary_bits))
+    params = {
+        "n": n,
+        "p": p,
+        "q": q,
+        "min_nonzero": need,
+        "vacuous": space == 0,
+        "boundary_pattern_recovers_rectangle": boundary == target,
+    }
+    return _finish("epsilon_orbit", params, space, violations, cex_cap)
+
+
+def same_bytes(got, want):
+    return json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+CAPS = (100, 3, 0)
+
+
+class TestPrunedSweepsMatchOracles:
+    """The pruned and aggregated sweeps give byte-identical reports."""
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_prop4(self, n):
+        for l in range(3, 7):
+            for mode in ("paper", "strict"):
+                for cap in CAPS:
+                    want = prop4_oracle(n, l, mode, cap)
+                    got = verify_prop4(n, l, mode=mode, cex_cap=cap)
+                    assert same_bytes(got, want), (n, l, mode, cap)
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_prop5(self, n):
+        for q in range(1, n // 2 + 1):
+            if n % q:
+                continue
+            for l in range(3, 7):
+                for cap in CAPS:
+                    want = prop5_oracle(n, q, l, cap)
+                    assert same_bytes(verify_prop5(n, q, l, cex_cap=cap), want), (
+                        n, q, l, cap,
+                    )
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_epsilon(self, n):
+        for p in range(2, n + 1):
+            if n % p == 0:
+                want = epsilon_oracle(n, p, n // p, 100)
+                assert same_bytes(verify_epsilon_orbit_claim(n, p, n // p), want)
+
+    def test_epsilon_counterexamples(self, monkeypatch):
+        # No real case violates, so make every orbit compare "equal": each
+        # pattern is then a counterexample, reached through the expansion.
+        monkeypatch.setattr(Partition, "compare", lambda self, other: Dominance.EQUAL)
+        for n in range(2, 11):
+            for p in range(2, n + 1):
+                if n % p == 0:
+                    for cap in CAPS:
+                        want = epsilon_oracle(n, p, n // p, cap)
+                        got = verify_epsilon_orbit_claim(n, p, n // p, cex_cap=cap)
+                        assert same_bytes(got, want), (n, p, cap)
+                        assert got.passed == (got.space_size == 0)
+
+    def test_epsilon_preimage_inverts_partition_from_epsilon(self):
+        for n in range(2, 13):
+            by_orbit = {}
+            for bits in itertools.product((0, 1), repeat=n - 1):
+                eps = EpsilonVector(n, bits)
+                by_orbit.setdefault(partition_from_epsilon(eps), set()).add(eps)
+            for lam in enumerate_partitions(n):
+                got = list(epsilon_preimage(lam))
+                assert len(got) == len(set(got)), lam
+                assert set(got) == by_orbit[lam], lam
+
+    def test_prop4_large_n_closed_form_space(self):
+        r = verify_prop4(100, 6)
+        assert r.space_size == math.comb(54, 6) + 1 == 25827166
+        assert r.passed
+
+    def test_epsilon_n40(self):
+        r = verify_epsilon_orbit_claim(40, 2, 20)
+        assert r.space_size == sum(math.comb(39, z) for z in range(19))
+        assert r.space_size == 205954642534
+        assert r.passed
 
 
 class TestVerifyProp4:
@@ -523,3 +739,32 @@ class TestVerdict:
         assert verdict_to_json(vanishing_verdict(spec)) == verdict_to_json(
             vanishing_verdict(spec)
         )
+
+
+class TestSoundnessChecks:
+    def test_no_bare_asserts_in_package(self):
+        # checks must survive python -O, which strips assert statements
+        src = Path(dimeq.theorems.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert not asserts, (path.name, asserts)
+
+    def test_dim_rep_routes_must_agree(self, monkeypatch):
+        e = minimal_eisenstein(6)
+        monkeypatch.setattr(
+            dimeq.representations, "attached_orbit", lambda rep: Partition((6,))
+        )
+        with pytest.raises(InternalError):
+            dim_rep(e)
+
+    def test_two_rectangles_cannot_balance(self, monkeypatch):
+        real = dimeq.theorems.check_dim_equation
+
+        def balanced(spec):
+            r = real(spec)
+            return type(r)(lhs=r.rhs, rhs=r.rhs, holds=True, slack=0)
+
+        monkeypatch.setattr(dimeq.theorems, "check_dim_equation", balanced)
+        with pytest.raises(InternalError):
+            vanishing_verdict(IntegralSpec(4, (Speh(2, 2), Speh(2, 2))))

@@ -130,6 +130,8 @@ def _load_json(path: str) -> object:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None
 
 
 def _report_text(report: VerificationReport) -> str:

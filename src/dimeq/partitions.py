@@ -24,7 +24,14 @@ class Dominance(enum.Enum):
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers.
+    """A weakly decreasing sequence of positive integers, stored as runs.
+
+    The parts are kept as (value, multiplicity) runs with strictly
+    decreasing values, so a rectangle (p^q) or the trivial orbit (1^n) is a
+    single run whatever its length.  n, length, orbit_dim, transpose,
+    rectangle, is_trivial_orbit, compare and + cost O(#runs); the tuple of
+    parts is built on demand (and kept when the partition was constructed
+    from one).
 
     The empty partition is permitted only so that componentwise addition has
     an identity; operations with orbit-theoretic meaning (dimensions,
@@ -33,58 +40,125 @@ class Partition:
     re-sorted.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_runs", "_parts", "_n", "_length")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
+        # Validation and run compression in one pass.  A part equal to the
+        # previous one only extends its run; checks beyond the type are
+        # needed only where a new run starts.
+        runs = []
+        n = 0
+        prev = None
+        count = 0
         for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise InvalidInputError(f"partition parts must be integers, got {p!r}")
-            if p <= 0:
-                raise InvalidInputError(f"partition parts must be positive, got {p}")
-        for i in range(len(parts) - 1):
-            if parts[i] < parts[i + 1]:
-                raise InvalidInputError(
-                    f"partition parts must be weakly decreasing, got {list(parts)}"
-                )
+            if p.__class__ is not int and (not isinstance(p, int) or isinstance(p, bool)):
+                _reject_parts(parts)
+            if p == prev:
+                count += 1
+                continue
+            if p <= 0 or (prev is not None and p > prev):
+                _reject_parts(parts)
+            if count:
+                runs.append((prev, count))
+                n += prev * count
+            prev = p
+            count = 1
+        if count:
+            runs.append((prev, count))
+            n += prev * count
+        self._runs = tuple(runs)
         self._parts = parts
+        self._n = n
+        self._length = len(parts)
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[int, int]]) -> "Partition":
+        """The partition with m parts equal to v for each (v, m) in runs.
+
+        Values must be positive and strictly decreasing, multiplicities
+        positive.  Costs O(#runs), however many parts that makes.
+        """
+        checked: list[tuple[int, int]] = []
+        n = length = 0
+        for run in runs:
+            try:
+                v, m = run
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"a run must be a (value, multiplicity) pair, got {run!r}"
+                ) from None
+            for x in (v, m):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InvalidInputError(f"run entries must be integers, got {run!r}")
+            if v <= 0 or m <= 0:
+                raise InvalidInputError(f"run entries must be positive, got {run!r}")
+            if checked and v >= checked[-1][0]:
+                raise InvalidInputError(
+                    f"run values must be strictly decreasing, got {checked[-1][0]} then {v}"
+                )
+            checked.append((v, m))
+            n += v * m
+            length += m
+        return cls._of_runs(tuple(checked), n, length)
+
+    @classmethod
+    def _of_runs(cls, runs: tuple[tuple[int, int], ...], n: int, length: int) -> "Partition":
+        """Unchecked constructor for runs already known to be well formed."""
+        self = object.__new__(cls)
+        self._runs = runs
+        self._parts = None
+        self._n = n
+        self._length = length
+        return self
 
     # -- basic views ---------------------------------------------------------
 
     @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(value, multiplicity) pairs, values strictly decreasing."""
+        return self._runs
+
+    @property
     def parts(self) -> tuple[int, ...]:
+        """The parts as a tuple: O(length), built on first use."""
+        if self._parts is None:
+            out: list[int] = []
+            for v, m in self._runs:
+                out += [v] * m
+            self._parts = tuple(out)
         return self._parts
 
     @property
     def n(self) -> int:
         """The integer being partitioned (sum of parts)."""
-        return sum(self._parts)
+        return self._n
 
     @property
     def length(self) -> int:
         """Number of parts."""
-        return len(self._parts)
+        return self._length
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
+        return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return self._length
 
     def __getitem__(self, i: int) -> int:
-        return self._parts[i]
+        return self.parts[i]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
+        return isinstance(other, Partition) and self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self._parts) + "]"
+        return "[" + ",".join(str(p) for p in self.parts) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -93,12 +167,14 @@ class Partition:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"cannot parse partition from {text!r}: {exc}") from None
+        except RecursionError:
+            raise InvalidInputError("partition text is nested too deeply") from None
         if not isinstance(data, list):
             raise InvalidInputError(f"partition text must be a JSON list, got {text!r}")
         return cls(data)
 
     def _require_nonempty(self, op: str) -> None:
-        if not self._parts:
+        if not self._runs:
             raise InvalidInputError(f"{op} requires a nonempty partition")
 
     # -- structure -----------------------------------------------------------
@@ -106,34 +182,32 @@ class Partition:
     def transpose(self) -> "Partition":
         """Conjugate partition: column lengths of the Young diagram.
 
-        (transpose)_i = #{j : lam_j >= i}.  An involution.
+        (transpose)_i = #{j : lam_j >= i}.  An involution.  Run by run: the
+        columns in (v_{k+1}, v_k] all have length m_1 + ... + m_k.
         """
         self._require_nonempty("transpose")
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
+        runs = self._runs
+        out = []
+        rows = 0
+        for (v, m), (w, _) in zip(runs, runs[1:] + ((0, 0),)):
+            rows += m
+            out.append((rows, v - w))
+        out.reverse()
+        return Partition._of_runs(tuple(out), self._n, runs[0][0])
 
     def multiplicities(self) -> dict[int, int]:
-        """Map part value -> multiplicity."""
-        out: dict[int, int] = {}
-        for p in self._parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        """Map part value -> multiplicity, in decreasing order of value."""
+        return dict(self._runs)
 
     def rectangle(self) -> tuple[int, int] | None:
         """(p, q) if this is the rectangle with q parts of size p, else None."""
-        if not self._parts:
+        if len(self._runs) != 1:
             return None
-        p = self._parts[0]
-        if any(x != p for x in self._parts):
-            return None
-        return (p, len(self._parts))
+        return self._runs[0]
 
     def is_trivial_orbit(self) -> bool:
         """True for (1, 1, ..., 1), the zero orbit (one-dimensional representation)."""
-        return bool(self._parts) and self._parts[0] == 1
+        return bool(self._runs) and self._runs[0][0] == 1
 
     # -- dimensions -----------------------------------------------------------
 
@@ -142,13 +216,17 @@ class Partition:
 
         n^2 - sum_i (2i - 1) * lam_i, equivalently n^2 minus the sum of the
         squares of the transpose parts.  Always even; zero exactly for the
-        trivial orbit (1^n).
+        trivial orbit (1^n).  A run of m parts v after s earlier parts
+        contributes v * ((s + m)^2 - s^2) to the sum.
         """
         self._require_nonempty("orbit_dim")
-        n = self.n
+        n = self._n
         d = n * n
-        for i, p in enumerate(self._parts, start=1):
-            d -= (2 * i - 1) * p
+        s = 0
+        for v, m in self._runs:
+            e = s + m
+            d -= v * (e * e - s * s)
+            s = e
         if d % 2 or d < 0:
             raise InternalError(f"orbit dimension {d} of {self} is odd or negative")
         return d
@@ -161,25 +239,47 @@ class Partition:
     # -- order and algebra -----------------------------------------------------
 
     def compare(self, other: "Partition") -> Dominance:
-        """Dominance comparison via prefix sums.  Both must partition the same n."""
+        """Dominance comparison via prefix sums.  Both must partition the same n.
+
+        Between two consecutive run ends (of either partition) both prefix
+        sums grow linearly, so their difference keeps the signs it has at
+        those ends: only run ends are checked.  Once either partition runs
+        out, its prefix sum is n and stays at or above the other's.
+        """
         self._require_nonempty("compare")
         other._require_nonempty("compare")
-        if self.n != other.n:
+        if self._n != other._n:
             raise InvalidInputError(
-                f"cannot compare partitions of different integers: {self.n} vs {other.n}"
+                f"cannot compare partitions of different integers: {self._n} vs {other._n}"
             )
-        if self._parts == other._parts:
+        a, b = self._runs, other._runs
+        if a == b:
             return Dominance.EQUAL
         ge = le = True
-        a = b = 0
-        la, lb = self._parts, other._parts
-        for i in range(max(len(la), len(lb))):
-            a += la[i] if i < len(la) else 0
-            b += lb[i] if i < len(lb) else 0
-            if a < b:
+        i = j = 0
+        va, ra = a[0]
+        vb, rb = b[0]
+        sa = sb = 0
+        while True:
+            step = ra if ra < rb else rb
+            sa += va * step
+            sb += vb * step
+            if sa < sb:
                 ge = False
-            elif a > b:
+            elif sa > sb:
                 le = False
+            ra -= step
+            rb -= step
+            if ra == 0:
+                i += 1
+                if i == len(a):
+                    break
+                va, ra = a[i]
+            if rb == 0:
+                j += 1
+                if j == len(b):
+                    break
+                vb, rb = b[j]
         if ge:
             return Dominance.GREATER
         if le:
@@ -195,16 +295,48 @@ class Partition:
 
         For weakly decreasing inputs the result is weakly decreasing, so
         this is total on Partition.  The empty partition is the identity.
+        Each stretch between consecutive run ends of either summand is one
+        run of the sum: at every such end one summand's value drops, so the
+        summed values strictly decrease.
         """
         if not isinstance(other, Partition):
             return NotImplemented
-        la, lb = self._parts, other._parts
-        if len(la) < len(lb):
-            la, lb = lb, la
-        summed = list(la)
-        for i, p in enumerate(lb):
-            summed[i] += p
-        return Partition(summed)
+        a, b = self._runs, other._runs
+        if not a:
+            return other
+        if not b:
+            return self
+        length = max(self._length, other._length)
+        out = []
+        pos = i = j = 0
+        va, ra = a[0]
+        vb, rb = b[0]
+        while True:
+            step = ra if ra < rb else rb
+            out.append((va + vb, step))
+            pos += step
+            if pos == length:
+                break
+            ra -= step
+            rb -= step
+            if ra == 0:
+                i += 1
+                va, ra = a[i] if i < len(a) else (0, length - pos)
+            if rb == 0:
+                j += 1
+                vb, rb = b[j] if j < len(b) else (0, length - pos)
+        return Partition._of_runs(tuple(out), self._n + other._n, length)
+
+
+def _reject_parts(parts: tuple) -> None:
+    """Raise the error for parts that failed Partition's one-pass check:
+    the first non-integer or nonpositive part, else the order violation."""
+    for p in parts:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InvalidInputError(f"partition parts must be integers, got {p!r}")
+        if p <= 0:
+            raise InvalidInputError(f"partition parts must be positive, got {p}")
+    raise InvalidInputError(f"partition parts must be weakly decreasing, got {list(parts)}")
 
 
 def enumerate_partitions(n: int, max_length: int | None = None) -> Iterator[Partition]:
@@ -243,9 +375,7 @@ def dominance_floor(n: int) -> Partition:
     """
     if n < 2:
         raise InvalidInputError(f"dominance_floor needs n >= 2, got {n}")
-    if n % 2 == 0:
-        return Partition((2,) * (n // 2))
-    return Partition((2,) * ((n - 1) // 2) + (1,))
+    return Partition.from_runs([(2, n // 2)] + [(1, 1)] * (n % 2))
 
 
 class EpsilonVector:

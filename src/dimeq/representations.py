@@ -22,10 +22,15 @@ class Generic:
     """A representation with full Whittaker support on GL_n; orbit (n)."""
 
     n: int
+    orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidInputError(f"Generic needs n >= 1, got {self.n}")
+        object.__setattr__(self, "orbit", Partition.from_runs([(self.n, 1)]))
+
+    def to_json(self) -> dict:
+        return {"kind": "generic", "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,15 @@ class Speh:
 
     p: int
     q: int
+    orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1:
             raise InvalidInputError(f"Speh needs p, q >= 1, got p={self.p}, q={self.q}")
+        object.__setattr__(self, "orbit", Partition.from_runs([(self.p, self.q)]))
+
+    def to_json(self) -> dict:
+        return {"kind": "speh", "p": self.p, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,15 @@ class TrivialConstituent:
     """
 
     n: int
+    orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidInputError(f"TrivialConstituent needs n >= 1, got {self.n}")
+        object.__setattr__(self, "orbit", Partition.from_runs([(1, self.n)]))
+
+    def to_json(self) -> dict:
+        return {"kind": "trivial", "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,9 @@ class ExplicitOrbit:
         if self.orbit.length == 0:
             raise InvalidInputError("ExplicitOrbit needs a nonempty partition")
 
+    def to_json(self) -> dict:
+        return {"kind": "orbit", "parts": list(self.orbit.parts)}
+
 
 @dataclass(frozen=True)
 class Eisenstein:
@@ -78,11 +96,14 @@ class Eisenstein:
 
     blocks must be weakly decreasing positive integers, at least two of
     them, and constituents[i] must be a descriptor of rank blocks[i].
-    Nesting (an Eisenstein constituent) is allowed.
+    Nesting (an Eisenstein constituent) is allowed.  The attached orbit is
+    the componentwise sum of the constituents' orbits (the induced-orbit
+    closure).
     """
 
     blocks: tuple[int, ...]
     constituents: tuple["RepDescriptor", ...]
+    orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -102,52 +123,42 @@ class Eisenstein:
             raise InvalidInputError(
                 f"{len(self.blocks)} blocks but {len(self.constituents)} constituents"
             )
+        total = None
         for b, c in zip(self.blocks, self.constituents):
-            r = rank(c)
-            if r != b:
+            orbit = attached_orbit(c)
+            if orbit.n != b:
                 raise InvalidInputError(
-                    f"constituent of rank {r} attached to block of size {b}"
+                    f"constituent of rank {orbit.n} attached to block of size {b}"
                 )
+            total = orbit if total is None else total + orbit
+        object.__setattr__(self, "orbit", total)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "eisenstein",
+            "blocks": list(self.blocks),
+            "constituents": [c.to_json() for c in self.constituents],
+        }
 
 
 RepDescriptor = Union[Generic, Speh, TrivialConstituent, ExplicitOrbit, Eisenstein]
 
 
-def rank(rep: RepDescriptor) -> int:
-    """The n of the GL_n the descriptor lives on."""
-    if isinstance(rep, Generic):
-        return rep.n
-    if isinstance(rep, Speh):
-        return rep.p * rep.q
-    if isinstance(rep, TrivialConstituent):
-        return rep.n
-    if isinstance(rep, ExplicitOrbit):
-        return rep.orbit.n
-    if isinstance(rep, Eisenstein):
-        return sum(rep.blocks)
-    raise InvalidInputError(f"not a representation descriptor: {rep!r}")
-
-
 def attached_orbit(rep: RepDescriptor) -> Partition:
     """The unipotent orbit attached to the descriptor.
 
-    For induced data this is the componentwise sum of the constituents'
-    orbits (the induced-orbit closure), computed recursively.
+    Every descriptor computes it once, when it is built; for induced data
+    it is the componentwise sum of the constituents' orbits.
     """
-    if isinstance(rep, Generic):
-        return Partition((rep.n,))
-    if isinstance(rep, Speh):
-        return Partition((rep.p,) * rep.q)
-    if isinstance(rep, TrivialConstituent):
-        return Partition((1,) * rep.n)
-    if isinstance(rep, ExplicitOrbit):
-        return rep.orbit
-    if isinstance(rep, Eisenstein):
-        total = Partition()
-        for c in rep.constituents:
-            total = total + attached_orbit(c)
-        return total
-    raise InvalidInputError(f"not a representation descriptor: {rep!r}")
+    orbit = getattr(rep, "orbit", None)
+    if not isinstance(orbit, Partition):
+        raise InvalidInputError(f"not a representation descriptor: {rep!r}")
+    return orbit
+
+
+def rank(rep: RepDescriptor) -> int:
+    """The n of the GL_n the descriptor lives on."""
+    return attached_orbit(rep).n
 
 
 def dim_rep(rep: RepDescriptor) -> int:
@@ -238,12 +249,12 @@ class IntegralSpec:
         if not self.representations:
             raise InvalidInputError("IntegralSpec needs at least one representation")
         for i, rep in enumerate(self.representations):
-            r = rank(rep)
-            if r != self.n:
+            orbit = attached_orbit(rep)
+            if orbit.n != self.n:
                 raise InvalidInputError(
-                    f"representation {i} has rank {r}, expected {self.n}"
+                    f"representation {i} has rank {orbit.n}, expected {self.n}"
                 )
-            if attached_orbit(rep).is_trivial_orbit():
+            if orbit.is_trivial_orbit():
                 raise InvalidInputError(
                     f"representation {i} is one-dimensional (orbit (1^{self.n})); "
                     "one-dimensional representations are excluded at top level"
@@ -266,13 +277,30 @@ class IntegralSpec:
 # and a spec is {"n": 6, "representations": [ ... ]}.
 
 
+# Eisenstein constituents may nest, but no deeper than this: every nesting
+# level costs a few stack frames in the recursive readers and in repr.
+MAX_NESTING = 100
+
+
+def _wire_int(value: object, field: str, kind: str) -> int:
+    """value, if it is a JSON integer; bools and floats are rejected."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{kind} needs an integer \"{field}\", got {value!r}")
+    return value
+
+
 def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescriptor:
     """Build a descriptor from wire-format JSON.
 
     expected_rank supplies the rank for kinds that do not carry one
     ("generic", "trivial" without an explicit "n"); when a rank is both
-    supplied and derivable they must agree.
+    supplied and derivable they must agree.  Eisenstein constituents may
+    nest at most MAX_NESTING levels deep.
     """
+    return _rep_from_json(obj, expected_rank, 0)
+
+
+def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDescriptor:
     if not isinstance(obj, dict):
         raise InvalidInputError(f"representation must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
@@ -280,14 +308,11 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
         n = obj.get("n", expected_rank)
         if n is None:
             raise InvalidInputError(f"kind {kind!r} needs an explicit \"n\" here")
-        if not isinstance(n, int) or n < 1:
+        if _wire_int(n, "n", kind) < 1:
             raise InvalidInputError(f"bad rank {n!r} for kind {kind!r}")
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
     elif kind == "speh":
-        p, q = obj.get("p"), obj.get("q")
-        if not isinstance(p, int) or not isinstance(q, int):
-            raise InvalidInputError(f"speh needs integer \"p\" and \"q\", got {obj!r}")
-        rep = Speh(p, q)
+        rep = Speh(_wire_int(obj.get("p"), "p", kind), _wire_int(obj.get("q"), "q", kind))
     elif kind == "orbit":
         parts = obj.get("parts")
         if not isinstance(parts, list):
@@ -300,12 +325,18 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
             raise InvalidInputError(
                 f"eisenstein needs \"blocks\" and \"constituents\" lists, got {obj!r}"
             )
+        for b in blocks:
+            _wire_int(b, "blocks", kind)
         if len(blocks) != len(constituents):
             raise InvalidInputError(
                 f"{len(blocks)} blocks but {len(constituents)} constituents"
             )
+        if depth == MAX_NESTING:
+            raise InvalidInputError(
+                f"eisenstein constituents nest more than {MAX_NESTING} levels deep"
+            )
         reps = tuple(
-            rep_from_json(c, expected_rank=b) for b, c in zip(blocks, constituents)
+            _rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)
         )
         rep = Eisenstein(blocks=tuple(blocks), constituents=reps)
     else:
@@ -319,31 +350,15 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
 
 def rep_to_json(rep: RepDescriptor) -> dict:
     """Wire-format JSON for a descriptor.  Inverse of rep_from_json."""
-    if isinstance(rep, Generic):
-        return {"kind": "generic", "n": rep.n}
-    if isinstance(rep, Speh):
-        return {"kind": "speh", "p": rep.p, "q": rep.q}
-    if isinstance(rep, TrivialConstituent):
-        return {"kind": "trivial", "n": rep.n}
-    if isinstance(rep, ExplicitOrbit):
-        return {"kind": "orbit", "parts": list(rep.orbit.parts)}
-    if isinstance(rep, Eisenstein):
-        return {
-            "kind": "eisenstein",
-            "blocks": list(rep.blocks),
-            "constituents": [rep_to_json(c) for c in rep.constituents],
-        }
-    raise InvalidInputError(f"not a representation descriptor: {rep!r}")
+    return rep.to_json()
 
 
 def spec_from_json(obj: object) -> IntegralSpec:
     """Build an IntegralSpec from {"n": ..., "representations": [...]}."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"integral spec must be a JSON object, got {obj!r}")
-    n = obj.get("n")
+    n = _wire_int(obj.get("n"), "n", "integral spec")
     reps = obj.get("representations")
-    if not isinstance(n, int):
-        raise InvalidInputError(f"integral spec needs an integer \"n\", got {obj!r}")
     if not isinstance(reps, list):
         raise InvalidInputError("integral spec needs a \"representations\" list")
     return IntegralSpec(

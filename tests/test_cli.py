@@ -99,6 +99,10 @@ class TestPartitionCommands:
         rc, _, _ = run_cli(capsys, "partition", "dim", "not json")
         assert rc == 2
 
+    def test_deeply_nested_partition_is_exit_2(self, capsys):
+        rc, _, err = run_cli(capsys, "partition", "dim", "[" * 3000 + "]" * 3000)
+        assert rc == 2 and err == "error: partition text is nested too deeply\n"
+
     def test_bad_bits_is_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "partition", "from-epsilon", "10201")
         assert rc == 2 and err.startswith("error:")
@@ -341,6 +345,89 @@ class TestVanishCommand:
         path = write_spec(tmp_path, "pair.json", SPEH_PAIR)
         rc, out, _ = run_cli(capsys, "vanish", path, "--format", "text")
         assert rc == 0 and out.startswith("{\n")
+
+
+def nested_spec_text(depth):
+    """A spec whose first representation nests Eisenstein constituents
+    depth levels deep, written out directly: the json module's encoder
+    recurses too."""
+    rep, rank = '{"kind": "generic"}', 2
+    for _ in range(depth):
+        rep = (
+            f'{{"kind": "eisenstein", "blocks": [{rank}, 1], '
+            f'"constituents": [{rep}, {{"kind": "trivial"}}]}}'
+        )
+        rank += 1
+    return f'{{"n": {rank}, "representations": [{rep}, {{"kind": "generic"}}]}}'
+
+
+class TestInputBoundary:
+    def test_huge_rank_spec_is_answered(self, capsys, tmp_path):
+        spec = {
+            "n": 10**8,
+            "representations": [{"kind": "generic"}, {"kind": "speh", "p": 2, "q": 5 * 10**7}],
+        }
+        rc, out, _ = run_cli(capsys, "vanish", write_spec(tmp_path, "big.json", spec))
+        payload = json.loads(out)
+        assert rc == 0
+        assert (payload["verdict"], payload["by"]) == ("equation_fails", "lemma1")
+
+    def test_float_block_is_exit_2(self, capsys, tmp_path):
+        spec = {
+            "n": 6,
+            "representations": [
+                {
+                    "kind": "eisenstein",
+                    "blocks": [3.0, 3],
+                    "constituents": [{"kind": "speh", "p": 3, "q": 1}, {"kind": "generic"}],
+                },
+                {"kind": "generic"},
+            ],
+        }
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "f.json", spec))
+        assert rc == 2 and out == ""
+        assert err == 'error: eisenstein needs an integer "blocks", got 3.0\n'
+
+    @pytest.mark.parametrize(
+        "field,rep",
+        [
+            ("p", {"kind": "speh", "p": True, "q": 3}),
+            ("q", {"kind": "speh", "p": 2, "q": 3.0}),
+            ("n", {"kind": "generic", "n": 6.0}),
+            ("n", {"kind": "trivial", "n": True}),
+        ],
+    )
+    def test_bool_or_float_field_is_exit_2(self, capsys, tmp_path, field, rep):
+        spec = {"n": 6, "representations": [rep, {"kind": "generic"}]}
+        rc, _, err = run_cli(capsys, "vanish", write_spec(tmp_path, "b.json", spec))
+        assert rc == 2
+        assert f'needs an integer "{field}"' in err
+
+    def test_bool_spec_rank_is_exit_2(self, capsys, tmp_path):
+        spec = {"n": True, "representations": [{"kind": "generic"}]}
+        rc, _, err = run_cli(capsys, "equation", "check", write_spec(tmp_path, "b.json", spec))
+        assert rc == 2
+        assert err == 'error: integral spec needs an integer "n", got True\n'
+
+    def test_json_too_deep_to_load_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_spec_text(600), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "vanish", str(path))
+        assert rc == 2 and out == ""
+        assert err.endswith("JSON nested too deeply\n")
+
+    def test_nesting_beyond_the_cap_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_spec_text(150), encoding="utf-8")
+        rc, _, err = run_cli(capsys, "vanish", str(path))
+        assert rc == 2
+        assert "nest more than 100 levels deep" in err
+
+    def test_nesting_at_the_cap_is_read(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_spec_text(100), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "vanish", str(path))
+        assert rc == 0 and json.loads(out)["by"] == "lemma1"
 
 
 class TestPlumbing:

@@ -1,5 +1,7 @@
 """Partition arithmetic against independent oracles and frozen values."""
 
+import itertools
+
 import pytest
 
 from dimeq import (
@@ -47,6 +49,102 @@ def all_partitions_oracle(n, max_length=None):
 
 # number of partitions of 0..10
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+# -- reference implementations ------------------------------------------------
+#
+# The tuple-based orbit_dim, transpose, compare and + that Partition used
+# before it stored runs, kept as the reference for the run arithmetic.
+
+
+def orbit_dim_reference(parts):
+    n = sum(parts)
+    d = n * n
+    for i, p in enumerate(parts, start=1):
+        d -= (2 * i - 1) * p
+    return d
+
+
+def transpose_reference(parts):
+    cols = [0] * parts[0]
+    for p in parts:
+        for i in range(p):
+            cols[i] += 1
+    return tuple(cols)
+
+
+def compare_reference(la, lb):
+    if la == lb:
+        return Dominance.EQUAL
+    ge = le = True
+    a = b = 0
+    for i in range(max(len(la), len(lb))):
+        a += la[i] if i < len(la) else 0
+        b += lb[i] if i < len(lb) else 0
+        if a < b:
+            ge = False
+        elif a > b:
+            le = False
+    if ge:
+        return Dominance.GREATER
+    if le:
+        return Dominance.LESS
+    return Dominance.INCOMPARABLE
+
+
+def add_reference(la, lb):
+    if len(la) < len(lb):
+        la, lb = lb, la
+    summed = list(la)
+    for i, p in enumerate(lb):
+        summed[i] += p
+    return tuple(summed)
+
+
+def runs_of(parts):
+    return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
+
+
+def parts_of(runs):
+    return tuple(v for v, m in runs for _ in range(m))
+
+
+def small_partitions(max_n=12):
+    return [lam for n in range(1, max_n + 1) for lam in enumerate_partitions(n)]
+
+
+def check_against_reference(lam, mu):
+    """Every run-based operation on lam (and on the pair) against the
+    tuple-based reference."""
+    a, b = lam.parts, mu.parts
+    assert lam.runs == runs_of(a)
+    assert lam.orbit_dim() == orbit_dim_reference(a)
+    t = lam.transpose()
+    assert t.parts == transpose_reference(a)
+    assert t.runs == runs_of(t.parts) and (t.n, t.length) == (lam.n, len(t.parts))
+    s = lam + mu
+    assert s.parts == add_reference(a, b)
+    assert s.runs == runs_of(s.parts) and (s.n, s.length) == (lam.n + mu.n, len(s.parts))
+    if lam.n == mu.n:
+        assert lam.compare(mu) == compare_reference(a, b)
+
+
+def random_runs(st, max_rank=10**6):
+    """Strategy: run lists of rank at most max_rank, values up to 10**4."""
+
+    @st.composite
+    def draw_runs(draw):
+        values = draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True))
+        runs, left = [], max_rank
+        for v in sorted(values, reverse=True):
+            if v > left:
+                break
+            m = draw(st.integers(1, min(left // v, 10**3)))
+            runs.append((v, m))
+            left -= v * m
+        return runs
+
+    return draw_runs()
 
 
 class TestConstruction:
@@ -324,3 +422,105 @@ class TestEpsilon:
                 lam = partition_from_epsilon(eps)
                 assert lam.n == n
                 assert lam.length == len(eps.zero_positions) + 1
+
+
+class TestRunLengthStorage:
+    def test_every_small_partition_matches_reference(self):
+        ps = small_partitions()
+        for lam in ps:
+            check_against_reference(lam, lam)
+            assert Partition.from_runs(lam.runs) == lam
+            assert Partition.from_runs(lam.runs).parts == lam.parts
+
+    def test_every_pair_matches_reference(self):
+        ps = small_partitions()
+        for lam in ps:
+            for mu in ps:
+                assert (lam + mu).parts == add_reference(lam.parts, mu.parts)
+                if lam.n == mu.n:
+                    assert lam.compare(mu) == compare_reference(lam.parts, mu.parts)
+
+    def test_views_and_equality(self):
+        lam = Partition.from_runs([(3, 2), (1, 4)])
+        assert lam.runs == ((3, 2), (1, 4))
+        assert lam.parts == (3, 3, 1, 1, 1, 1) and list(lam) == list(lam.parts)
+        assert (lam.n, lam.length, len(lam), lam[1], lam[-1]) == (10, 6, 6, 3, 1)
+        assert lam == Partition([3, 3, 1, 1, 1, 1])
+        assert hash(lam) == hash(Partition([3, 3, 1, 1, 1, 1]))
+        assert lam.multiplicities() == {3: 2, 1: 4}
+        assert Partition.from_runs([]) == Partition()
+        assert Partition.from_runs([(2, 3)]).rectangle() == (2, 3)
+        assert lam.rectangle() is None
+
+    def test_keeps_the_tuple_it_was_given(self):
+        parts = (4, 2, 2)
+        assert Partition(parts).parts is parts
+
+    def test_huge_ranks_cost_runs_not_parts(self):
+        # any tuple as long as the rank would raise MemoryError here
+        n = 10**18
+        generic = Partition.from_runs([(n, 1)])
+        trivial = Partition.from_runs([(1, n)])
+        speh = Partition.from_runs([(2, n // 2)])
+        assert generic.orbit_dim() == n * n - n
+        assert trivial.orbit_dim() == 0 and trivial.is_trivial_orbit()
+        assert speh.rep_dim() == n * (n - n // 2) // 2
+        assert trivial.transpose() == generic and generic.transpose() == trivial
+        assert speh.transpose().runs == ((n // 2, 2),)
+        assert generic.compare(speh) == Dominance.GREATER
+        assert trivial.compare(speh) == Dominance.LESS
+        minimal = Partition.from_runs([(1, n - 1)]) + Partition.from_runs([(1, 1)])
+        assert minimal.runs == ((2, 1), (1, n - 2)) and minimal.rep_dim() == n - 1
+        assert (minimal.n, minimal.length) == (n, n - 1)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [(True, 2)],
+            [(2, True)],
+            [(2.0, 1)],
+            [(0, 3)],
+            [(-1, 3)],
+            [(2, 0)],
+            [(2, -1)],
+            [(2, 1), (2, 1)],
+            [(1, 1), (2, 1)],
+            [(3,)],
+            [3],
+        ],
+    )
+    def test_malformed_runs_rejected(self, runs):
+        with pytest.raises(InvalidInputError):
+            Partition.from_runs(runs)
+
+    def test_first_bad_part_is_reported(self):
+        # validation and compression share one pass, but the error still
+        # names the first bad part before any order violation
+        with pytest.raises(InvalidInputError, match="integers, got 'a'"):
+            Partition([1, 2, "a"])
+        with pytest.raises(InvalidInputError, match="positive, got 0"):
+            Partition([1, 2, 0])
+        with pytest.raises(InvalidInputError, match="integers, got True"):
+            Partition([2, True])
+        with pytest.raises(InvalidInputError, match="weakly decreasing"):
+            Partition([2, 2, 3])
+
+    def test_random_runs_match_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(random_runs(st), random_runs(st))
+        def check(ra, rb):
+            lam, mu = Partition.from_runs(ra), Partition.from_runs(rb)
+            assert lam.parts == parts_of(ra)
+            assert Partition(lam.parts) == lam
+            check_against_reference(lam, mu)
+            assert lam.compare(lam) == Dominance.EQUAL
+            # mu padded with ones to lam's n, so that the two compare
+            if mu.n < lam.n:
+                nu = Partition(parts_of(rb) + (1,) * (lam.n - mu.n))
+                assert lam.compare(nu) == compare_reference(lam.parts, nu.parts)
+                assert nu.compare(lam) == compare_reference(nu.parts, lam.parts)
+
+        check()

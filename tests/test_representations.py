@@ -1,5 +1,7 @@
 """Representation descriptors, attached orbits, and the two dimension routes."""
 
+import json
+
 import pytest
 
 from dimeq import (
@@ -24,6 +26,7 @@ from dimeq import (
     top_trivial_block,
     trivial_block_at,
 )
+from dimeq.representations import MAX_NESTING
 
 T = TrivialConstituent
 
@@ -40,6 +43,23 @@ class TestDescriptors:
         assert rank(Generic(5)) == 5
         assert rank(Speh(3, 4)) == 12
         assert rank(Eisenstein((2, 1), (Generic(2), T(1)))) == 3
+
+    def test_orbit_is_computed_once_and_stays_out_of_eq_and_repr(self):
+        e = Eisenstein((4, 2), (Speh(2, 2), Generic(2)))
+        assert attached_orbit(e) is attached_orbit(e) is e.orbit
+        assert e.orbit.runs == ((4, 1), (2, 1))
+        assert repr(Speh(2, 3)) == "Speh(p=2, q=3)"
+        assert Generic(3) == Generic(3) and hash(Generic(3)) == hash(Generic(3))
+        assert repr(ExplicitOrbit(Partition([3, 1]))) == "ExplicitOrbit(orbit=Partition([3, 1]))"
+
+    def test_non_descriptors_rejected(self):
+        for bad in ("generic", Partition([2]), None):
+            with pytest.raises(InvalidInputError):
+                rank(bad)
+            with pytest.raises(InvalidInputError):
+                attached_orbit(bad)
+        with pytest.raises(InvalidInputError):
+            Eisenstein((2, 1), (Generic(2), "trivial"))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -216,6 +236,35 @@ class TestJson:
             ),
         )
         assert spec_from_json(spec_to_json(spec)) == spec
+
+    def test_wire_output_frozen(self):
+        spec = IntegralSpec(
+            6,
+            (
+                Eisenstein((4, 2), (Eisenstein((2, 2), (T(2), Speh(1, 2))), Generic(2))),
+                ExplicitOrbit(Partition([3, 2, 1])),
+                Speh(2, 3),
+            ),
+        )
+        assert json.dumps(spec_to_json(spec)) == (
+            '{"n": 6, "representations": [{"kind": "eisenstein", "blocks": [4, 2], '
+            '"constituents": [{"kind": "eisenstein", "blocks": [2, 2], "constituents": '
+            '[{"kind": "trivial", "n": 2}, {"kind": "speh", "p": 1, "q": 2}]}, '
+            '{"kind": "generic", "n": 2}]}, {"kind": "orbit", "parts": [3, 2, 1]}, '
+            '{"kind": "speh", "p": 2, "q": 3}]}'
+        )
+
+    def test_nesting_is_capped(self):
+        def nested(levels):
+            rep = {"kind": "trivial"}
+            for r in range(1, levels + 1):
+                rep = {"kind": "eisenstein", "blocks": [r, 1],
+                       "constituents": [rep, {"kind": "trivial"}]}
+            return rep
+
+        assert rank(rep_from_json(nested(MAX_NESTING))) == MAX_NESTING + 1
+        with pytest.raises(InvalidInputError, match="nest more than"):
+            rep_from_json(nested(MAX_NESTING + 1))
 
     def test_rep_round_trip(self):
         reps = [

@@ -741,6 +741,42 @@ class TestVerdict:
         )
 
 
+def lemma1_family(n):
+    return IntegralSpec(n, (Generic(n), Speh(2, n // 2)))
+
+
+def cor1_family(n):
+    return IntegralSpec(n, (minimal_eisenstein(n),) * 3)
+
+
+def prop5_family(a):
+    n = 4 * a * a
+    e = Eisenstein((n - a, a), (T(n - a), T(a)))
+    return IntegralSpec(n, (e, e, Speh(a, 4 * a)))
+
+
+class TestHugeRanks:
+    """The vanish_large families at rank about 10**18.  Descriptors carry
+    their orbits as runs, so a tuple as long as the rank anywhere on the
+    verdict path would raise MemoryError."""
+
+    @pytest.mark.parametrize(
+        "family,small,huge,kind",
+        [
+            (lemma1_family, 10**4, 10**18, ("equation_fails", "lemma1")),
+            (cor1_family, 10**4, 10**18, ("not_applicable", None)),
+            (prop5_family, 50, 10**9, ("vanishes", "prop5")),
+        ],
+    )
+    def test_same_verdict_kind_as_at_ten_thousand(self, family, small, huge, kind):
+        def verdict_kind(spec):
+            j = verdict_to_json(vanishing_verdict(spec))
+            return j["verdict"], j.get("by")
+
+        assert verdict_kind(family(small)) == kind
+        assert verdict_kind(family(huge)) == kind
+
+
 class TestSoundnessChecks:
     def test_no_bare_asserts_in_package(self):
         # checks must survive python -O, which strips assert statements

@@ -170,11 +170,10 @@ def dim_rep(rep: RepDescriptor) -> int:
     """
     d = attached_orbit(rep).rep_dim()
     if isinstance(rep, Eisenstein):
+        # the pairwise block products: sum_{i<j} m_i m_j = (S^2 - sum m_i^2) / 2
+        s = sum(rep.blocks)
         alt = sum(dim_rep(c) for c in rep.constituents)
-        m = rep.blocks
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                alt += m[i] * m[j]
+        alt += (s * s - sum(m * m for m in rep.blocks)) // 2
         if alt != d:
             raise InternalError(
                 f"induced-dimension routes disagree: {alt} vs {d} for {rep!r}"

@@ -100,7 +100,7 @@ class TestPartitionCommands:
         assert rc == 2
 
     def test_deeply_nested_partition_is_exit_2(self, capsys):
-        rc, _, err = run_cli(capsys, "partition", "dim", "[" * 3000 + "]" * 3000)
+        rc, _, err = run_cli(capsys, "partition", "dim", "[" * TOO_DEEP + "]" * TOO_DEEP)
         assert rc == 2 and err == "error: partition text is nested too deeply\n"
 
     def test_bad_bits_is_exit_2(self, capsys):
@@ -349,16 +349,21 @@ class TestVanishCommand:
 
 def nested_spec_text(depth):
     """A spec whose first representation nests Eisenstein constituents
-    depth levels deep, written out directly: the json module's encoder
-    recurses too."""
-    rep, rank = '{"kind": "generic"}', 2
-    for _ in range(depth):
-        rep = (
-            f'{{"kind": "eisenstein", "blocks": [{rank}, 1], '
-            f'"constituents": [{rep}, {{"kind": "trivial"}}]}}'
-        )
-        rank += 1
-    return f'{{"n": {rank}, "representations": [{rep}, {{"kind": "generic"}}]}}'
+    depth levels deep (JSON nesting 2·depth), written out directly: the
+    json module's encoder recurses too.  Level k from the inside has
+    blocks [k + 1, 1]."""
+    head = "".join(
+        f'{{"kind": "eisenstein", "blocks": [{k + 1}, 1], "constituents": ['
+        for k in range(depth, 0, -1)
+    )
+    tail = ', {"kind": "trivial"}]}' * depth
+    rep = head + '{"kind": "generic"}' + tail
+    return f'{{"n": {depth + 2}, "representations": [{rep}, {{"kind": "generic"}}]}}'
+
+
+# Deeper than any interpreter's recursion limit lets json load: CPython
+# 3.10/3.11 stop near 1,000 levels, later versions allow several thousand.
+TOO_DEEP = 100_000
 
 
 class TestInputBoundary:
@@ -411,7 +416,7 @@ class TestInputBoundary:
 
     def test_json_too_deep_to_load_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
-        path.write_text(nested_spec_text(600), encoding="utf-8")
+        path.write_text(nested_spec_text(TOO_DEEP // 2), encoding="utf-8")
         rc, out, err = run_cli(capsys, "vanish", str(path))
         assert rc == 2 and out == ""
         assert err.endswith("JSON nested too deeply\n")

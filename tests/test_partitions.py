@@ -1,6 +1,7 @@
 """Partition arithmetic against independent oracles and frozen values."""
 
 import itertools
+import random
 
 import pytest
 
@@ -129,22 +130,31 @@ def check_against_reference(lam, mu):
         assert lam.compare(mu) == compare_reference(a, b)
 
 
-def random_runs(st, max_rank=10**6):
-    """Strategy: run lists of rank at most max_rank, values up to 10**4."""
+def random_runs(rng, max_rank=10**6):
+    """A run list of rank at most max_rank drawn with rng (a random.Random):
+    up to six distinct values up to 10**4, multiplicities up to 10**3."""
+    values = rng.sample(range(1, 10**4 + 1), rng.randint(1, 6))
+    runs, left = [], max_rank
+    for v in sorted(values, reverse=True):
+        if v > left:
+            break
+        m = rng.randint(1, min(left // v, 10**3))
+        runs.append((v, m))
+        left -= v * m
+    return runs
 
-    @st.composite
-    def draw_runs(draw):
-        values = draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=6, unique=True))
-        runs, left = [], max_rank
-        for v in sorted(values, reverse=True):
-            if v > left:
-                break
-            m = draw(st.integers(1, min(left // v, 10**3)))
-            runs.append((v, m))
-            left -= v * m
-        return runs
 
-    return draw_runs()
+def check_random_pair(ra, rb):
+    lam, mu = Partition.from_runs(ra), Partition.from_runs(rb)
+    assert lam.parts == parts_of(ra)
+    assert Partition(lam.parts) == lam
+    check_against_reference(lam, mu)
+    assert lam.compare(lam) == Dominance.EQUAL
+    # mu padded with ones to lam's n, so that the two compare
+    if mu.n < lam.n:
+        nu = Partition(parts_of(rb) + (1,) * (lam.n - mu.n))
+        assert lam.compare(nu) == compare_reference(lam.parts, nu.parts)
+        assert nu.compare(lam) == compare_reference(nu.parts, lam.parts)
 
 
 class TestConstruction:
@@ -505,22 +515,18 @@ class TestRunLengthStorage:
         with pytest.raises(InvalidInputError, match="weakly decreasing"):
             Partition([2, 2, 3])
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_random_runs_match_reference(self, seed):
+        rng = random.Random(seed)
+        check_random_pair(random_runs(rng), random_runs(rng))
+
     def test_random_runs_match_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
         @hypothesis.settings(max_examples=30, deadline=None)
-        @hypothesis.given(random_runs(st), random_runs(st))
-        def check(ra, rb):
-            lam, mu = Partition.from_runs(ra), Partition.from_runs(rb)
-            assert lam.parts == parts_of(ra)
-            assert Partition(lam.parts) == lam
-            check_against_reference(lam, mu)
-            assert lam.compare(lam) == Dominance.EQUAL
-            # mu padded with ones to lam's n, so that the two compare
-            if mu.n < lam.n:
-                nu = Partition(parts_of(rb) + (1,) * (lam.n - mu.n))
-                assert lam.compare(nu) == compare_reference(lam.parts, nu.parts)
-                assert nu.compare(lam) == compare_reference(nu.parts, lam.parts)
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            check_random_pair(random_runs(rng), random_runs(rng))
 
         check()

@@ -128,6 +128,14 @@ class TestDimensions:
                 e = Eisenstein(blocks.parts, tuple(cons))
                 assert dim_rep(e) == attached_orbit(e).rep_dim()
 
+    def test_dual_route_on_many_blocks(self):
+        # k blocks of 1 induce the generic orbit (k); the block route's
+        # k(k-1)/2 pairwise products are summed in closed form, in O(k)
+        k = 20_000
+        e = Eisenstein((1,) * k, (T(1),) * k)
+        assert attached_orbit(e) == Generic(k).orbit
+        assert dim_rep(e) == k * (k - 1) // 2
+
 
 class TestShapePredicates:
     def test_is_speh_type(self):

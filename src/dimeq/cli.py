@@ -42,7 +42,7 @@ from .equation import (
     enumerate_orbit_solutions,
     reduce_to_whittaker_form,
 )
-from .errors import InternalError, InvalidInputError, ResourceLimitError
+from .errors import InternalError, InvalidInputError, ResourceLimitError, echo
 from .partitions import EpsilonVector, Partition, partition_from_epsilon
 from .representations import attached_orbit, rep_from_json, spec_from_json
 from .theorems import (
@@ -78,7 +78,7 @@ def _env_int(name: str) -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise InvalidInputError(f"{name} must be an integer, got {raw!r}") from None
+        raise InvalidInputError(f"{name} must be an integer, got {echo(raw)}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -253,14 +253,33 @@ def cmd_equation_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _orbit_labels(solutions: list[tuple[Partition, ...]]) -> dict[Partition, str]:
+    """str of every orbit the solutions use, each rendered once."""
+    labels: dict[Partition, str] = {}
+    for sol in solutions:
+        for p in sol:
+            if p not in labels:
+                labels[p] = str(p)
+    return labels
+
+
 def _solutions_csv(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
+    labels = _orbit_labels(solutions)
+    dims = {p: p.rep_dim() for p in labels}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "l", "solution_index", "orbit_index", "partition", "rep_dim"])
     for si, sol in enumerate(solutions):
         for oi, p in enumerate(sol):
-            writer.writerow([n, l, si, oi, str(p), p.rep_dim()])
+            writer.writerow([n, l, si, oi, labels[p], dims[p]])
     return buf.getvalue().rstrip("\n")
+
+
+def _solutions_text(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
+    labels = _orbit_labels(solutions)
+    lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
+    lines += ["  " + " + ".join([labels[p] for p in sol]) for sol in solutions]
+    return "\n".join(lines)
 
 
 def cmd_equation_solve(args: argparse.Namespace) -> int:
@@ -276,17 +295,18 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
     fmt = args.format or "json"
     if fmt == "csv":
         _write(args, _solutions_csv(args.n, args.l, solutions))
-        return 0
-    payload = {
-        "n": args.n,
-        "l": args.l,
-        "target": args.n * (args.n - 1) // 2,
-        "count": len(solutions),
-        "solutions": [[list(p.parts) for p in sol] for sol in solutions],
-    }
-    text_lines = [f"{len(solutions)} solution(s) for n={args.n}, l={args.l}"]
-    text_lines += ["  " + " + ".join(str(p) for p in sol) for sol in solutions]
-    _emit(args, payload, "\n".join(text_lines))
+    elif fmt == "text":
+        _write(args, _solutions_text(args.n, args.l, solutions))
+    else:
+        payload = {
+            "n": args.n,
+            "l": args.l,
+            "target": args.n * (args.n - 1) // 2,
+            "count": len(solutions),
+            # a parts tuple dumps as the same JSON array as a list would
+            "solutions": [[p.parts for p in sol] for sol in solutions],
+        }
+        _emit(args, payload)
     return 0
 
 

@@ -8,8 +8,8 @@ n^2 - 1, the dimension budget before reduction to the mirabolic.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import InternalError, InvalidInputError, ResourceLimitError
 from .partitions import Partition, dominance_floor, enumerate_partitions
@@ -104,39 +104,52 @@ def enumerate_orbit_solutions(
     alphabet = list(enumerate_partitions(n))
     if exclude_trivial:
         alphabet = [p for p in alphabet if not p.is_trivial_orbit()]
-    # Sort by dimension so the recursion can prune on partial sums.
-    alphabet.sort(key=lambda p: (p.rep_dim(), p.parts))
-    dims = [p.rep_dim() for p in alphabet]
+    # An orbit is named by its alphabet index, its reverse-lexicographic
+    # rank: ascending indices are descending parts, in a solution and
+    # across solutions alike.  Orbits of equal dimension are interchangeable
+    # in the sum, so the search runs over multisets of distinct dimensions
+    # and expands each one inside its equal-dimension groups afterwards.
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(alphabet):
+        groups.setdefault(p.rep_dim(), []).append(i)
+    dims = sorted(groups)
     target = n * (n - 1) // 2
     found: list[tuple[int, ...]] = []
 
     def rec(start: int, slots: int, need: int, acc: tuple[int, ...]) -> None:
         if slots == 1:
-            lo = bisect.bisect_left(dims, need, start)
-            hi = bisect.bisect_right(dims, need, start)
-            for i in range(lo, hi):
-                found.append(acc + (i,))
+            # the caller's d * slots <= need leaves need >= d: still ascending
+            if need in groups:
+                found.append(acc + (need,))
             return
         maxd = dims[-1]
-        for i in range(start, len(dims)):
-            d = dims[i]
+        for k in range(start, len(dims)):
+            d = dims[k]
             if d * slots > need:
                 break  # dims ascending: every later choice overshoots too
             if d + maxd * (slots - 1) < need:
                 continue
-            rec(i, slots - 1, need - d, acc + (i,))
+            rec(k, slots - 1, need - d, acc + (d,))
 
     if alphabet:
         rec(0, l, target, ())
 
-    solutions = [
-        tuple(sorted((alphabet[i] for i in idxs), key=lambda p: p.parts, reverse=True))
-        for idxs in found
-    ]
     if max_one_dominant:
+        # tested once per orbit that some solution uses: every orbit in a
+        # dimension group that a found multiset draws on
         floor = dominance_floor(n)
-        solutions = [
-            sol for sol in solutions if sum(p.dominates(floor) for p in sol) <= 1
+        used = {d for dimset in found for d in dimset}
+        dominant = {i: alphabet[i].dominates(floor) for d in used for i in groups[d]}
+    solutions: list[tuple[int, ...]] = []
+    for dimset in found:
+        picks = [
+            combinations_with_replacement(groups[d], len(list(same)))
+            for d, same in groupby(dimset)
         ]
-    solutions.sort(key=lambda sol: tuple(p.parts for p in sol), reverse=True)
-    return solutions
+        for pick in product(*picks):
+            idxs = tuple(sorted(chain.from_iterable(pick)))
+            if max_one_dominant and sum(dominant[i] for i in idxs) > 1:
+                continue
+            solutions.append(idxs)
+    solutions.sort()
+    return [tuple(alphabet[i] for i in idxs) for idxs in solutions]

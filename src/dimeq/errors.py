@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote input."""
+
+import reprlib
 
 
 class InvalidInputError(ValueError):
@@ -21,3 +23,21 @@ class InternalError(RuntimeError):
     Raised explicitly rather than by assert, so the checks also run under
     python -O.  The CLI maps this to exit code 4.
     """
+
+
+ECHO_LIMIT = 200
+
+_echo_repr = reprlib.Repr()
+_echo_repr.maxstring = 80
+_echo_repr.maxother = 80
+_echo_repr.maxlong = 40
+
+
+def echo(value: object) -> str:
+    """repr(value) for an error message, abbreviated to at most ECHO_LIMIT
+    characters: input can be arbitrarily large, and a message that quotes
+    it whole is as large as the input."""
+    text = _echo_repr.repr(value)
+    if len(text) > ECHO_LIMIT:
+        text = text[: ECHO_LIMIT - 3] + "..."
+    return text

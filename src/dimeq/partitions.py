@@ -11,7 +11,7 @@ import enum
 import json
 from collections.abc import Iterable, Iterator
 
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, echo
 
 
 class Dominance(enum.Enum):
@@ -86,13 +86,13 @@ class Partition:
                 v, m = run
             except (TypeError, ValueError):
                 raise InvalidInputError(
-                    f"a run must be a (value, multiplicity) pair, got {run!r}"
+                    f"a run must be a (value, multiplicity) pair, got {echo(run)}"
                 ) from None
             for x in (v, m):
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise InvalidInputError(f"run entries must be integers, got {run!r}")
+                    raise InvalidInputError(f"run entries must be integers, got {echo(run)}")
             if v <= 0 or m <= 0:
-                raise InvalidInputError(f"run entries must be positive, got {run!r}")
+                raise InvalidInputError(f"run entries must be positive, got {echo(run)}")
             if checked and v >= checked[-1][0]:
                 raise InvalidInputError(
                     f"run values must be strictly decreasing, got {checked[-1][0]} then {v}"
@@ -166,11 +166,11 @@ class Partition:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"cannot parse partition from {text!r}: {exc}") from None
+            raise InvalidInputError(f"cannot parse partition from {echo(text)}: {exc}") from None
         except RecursionError:
             raise InvalidInputError("partition text is nested too deeply") from None
         if not isinstance(data, list):
-            raise InvalidInputError(f"partition text must be a JSON list, got {text!r}")
+            raise InvalidInputError(f"partition text must be a JSON list, got {echo(text)}")
         return cls(data)
 
     def _require_nonempty(self, op: str) -> None:
@@ -333,16 +333,25 @@ def _reject_parts(parts: tuple) -> None:
     the first non-integer or nonpositive part, else the order violation."""
     for p in parts:
         if not isinstance(p, int) or isinstance(p, bool):
-            raise InvalidInputError(f"partition parts must be integers, got {p!r}")
+            raise InvalidInputError(f"partition parts must be integers, got {echo(p)}")
         if p <= 0:
-            raise InvalidInputError(f"partition parts must be positive, got {p}")
-    raise InvalidInputError(f"partition parts must be weakly decreasing, got {list(parts)}")
+            raise InvalidInputError(f"partition parts must be positive, got {echo(p)}")
+    raise InvalidInputError(f"partition parts must be weakly decreasing, got {echo(list(parts))}")
 
 
 def enumerate_partitions(n: int, max_length: int | None = None) -> Iterator[Partition]:
     """Yield all partitions of n in reverse-lexicographic order, (n) first.
 
     max_length, if given, bounds the number of parts.
+
+    The walk keeps the current partition as (value, multiplicity) runs and
+    steps to its successor in place (the Zoghbi–Stojmenović rule): free the
+    trailing 1s and one part v >= 2 of the last run, and refill the freed
+    sum r as (v-1)^q, r mod (v-1) — the largest completion with parts below
+    v, and also the one with the fewest parts.  When even that completion
+    would exceed max_length, no partition with the remaining prefix fits,
+    so one more part is freed from the prefix and the refill retried.  Each
+    step costs O(#runs) plus the parts freed; nothing is re-validated.
     """
     if n < 1:
         raise InvalidInputError(f"can only enumerate partitions of n >= 1, got {n}")
@@ -350,19 +359,34 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> Iterator[Part
         max_length = n
     if max_length < 0:
         raise InvalidInputError(f"max_length must be >= 0, got {max_length}")
-
-    def rec(remaining: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0 or cap * slots < remaining:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    for parts in rec(n, n, max_length):
-        yield Partition(parts)
+    if max_length == 0:
+        return
+    runs = [(n, 1)]
+    length = 1
+    while True:
+        yield Partition._of_runs(tuple(runs), n, length)
+        freed = 0
+        if runs[-1][0] == 1:
+            freed = runs.pop()[1]
+            length -= freed
+        while True:
+            if not runs:
+                return
+            v, m = runs[-1]
+            if m == 1:
+                runs.pop()
+            else:
+                runs[-1] = (v, m - 1)
+            length -= 1
+            freed += v
+            q, rest = divmod(freed, v - 1)
+            if length + q + (rest > 0) <= max_length:
+                break
+        runs.append((v - 1, q))
+        length += q
+        if rest:
+            runs.append((rest, 1))
+            length += 1
 
 
 def dominance_floor(n: int) -> Partition:
@@ -395,7 +419,7 @@ class EpsilonVector:
                 f"epsilon vector for n={n} needs {n - 1} bits, got {len(bits)}"
             )
         if any(b not in (0, 1) for b in bits):
-            raise InvalidInputError(f"epsilon bits must be 0 or 1, got {list(bits)}")
+            raise InvalidInputError(f"epsilon bits must be 0 or 1, got {echo(list(bits))}")
         self._n = n
         self._bits = bits
 
@@ -420,7 +444,7 @@ class EpsilonVector:
     def parse(cls, text: str) -> "EpsilonVector":
         """Parse a bitstring like '10110' (n is one more than its length)."""
         if not text or any(c not in "01" for c in text):
-            raise InvalidInputError(f"epsilon bitstring must be nonempty 0/1, got {text!r}")
+            raise InvalidInputError(f"epsilon bitstring must be nonempty 0/1, got {echo(text)}")
         return cls(len(text) + 1, tuple(int(c) for c in text))
 
     def __str__(self) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, echo
 from .partitions import Partition
 
 
@@ -110,14 +110,14 @@ class Eisenstein:
         object.__setattr__(self, "constituents", tuple(self.constituents))
         if len(self.blocks) < 2:
             raise InvalidInputError(
-                f"Eisenstein needs at least 2 blocks, got {list(self.blocks)}"
+                f"Eisenstein needs at least 2 blocks, got {echo(list(self.blocks))}"
             )
         if any(b < 1 for b in self.blocks):
-            raise InvalidInputError(f"blocks must be positive, got {list(self.blocks)}")
+            raise InvalidInputError(f"blocks must be positive, got {echo(list(self.blocks))}")
         for i in range(len(self.blocks) - 1):
             if self.blocks[i] < self.blocks[i + 1]:
                 raise InvalidInputError(
-                    f"blocks must be weakly decreasing, got {list(self.blocks)}"
+                    f"blocks must be weakly decreasing, got {echo(list(self.blocks))}"
                 )
         if len(self.constituents) != len(self.blocks):
             raise InvalidInputError(
@@ -152,7 +152,7 @@ def attached_orbit(rep: RepDescriptor) -> Partition:
     """
     orbit = getattr(rep, "orbit", None)
     if not isinstance(orbit, Partition):
-        raise InvalidInputError(f"not a representation descriptor: {rep!r}")
+        raise InvalidInputError(f"not a representation descriptor: {echo(rep)}")
     return orbit
 
 
@@ -176,7 +176,7 @@ def dim_rep(rep: RepDescriptor) -> int:
         alt += (s * s - sum(m * m for m in rep.blocks)) // 2
         if alt != d:
             raise InternalError(
-                f"induced-dimension routes disagree: {alt} vs {d} for {rep!r}"
+                f"induced-dimension routes disagree: {alt} vs {d} for {echo(rep)}"
             )
     return d
 
@@ -284,7 +284,7 @@ MAX_NESTING = 100
 def _wire_int(value: object, field: str, kind: str) -> int:
     """value, if it is a JSON integer; bools and floats are rejected."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{kind} needs an integer \"{field}\", got {value!r}")
+        raise InvalidInputError(f"{kind} needs an integer \"{field}\", got {echo(value)}")
     return value
 
 
@@ -301,28 +301,28 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
 
 def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDescriptor:
     if not isinstance(obj, dict):
-        raise InvalidInputError(f"representation must be a JSON object, got {obj!r}")
+        raise InvalidInputError(f"representation must be a JSON object, got {echo(obj)}")
     kind = obj.get("kind")
     if kind in ("generic", "trivial"):
         n = obj.get("n", expected_rank)
         if n is None:
-            raise InvalidInputError(f"kind {kind!r} needs an explicit \"n\" here")
+            raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
         if _wire_int(n, "n", kind) < 1:
-            raise InvalidInputError(f"bad rank {n!r} for kind {kind!r}")
+            raise InvalidInputError(f"bad rank {echo(n)} for kind {echo(kind)}")
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
     elif kind == "speh":
         rep = Speh(_wire_int(obj.get("p"), "p", kind), _wire_int(obj.get("q"), "q", kind))
     elif kind == "orbit":
         parts = obj.get("parts")
         if not isinstance(parts, list):
-            raise InvalidInputError(f"orbit needs a \"parts\" list, got {obj!r}")
+            raise InvalidInputError(f"orbit needs a \"parts\" list, got {echo(obj)}")
         rep = ExplicitOrbit(Partition(parts))
     elif kind == "eisenstein":
         blocks = obj.get("blocks")
         constituents = obj.get("constituents")
         if not isinstance(blocks, list) or not isinstance(constituents, list):
             raise InvalidInputError(
-                f"eisenstein needs \"blocks\" and \"constituents\" lists, got {obj!r}"
+                f"eisenstein needs \"blocks\" and \"constituents\" lists, got {echo(obj)}"
             )
         for b in blocks:
             _wire_int(b, "blocks", kind)
@@ -339,10 +339,10 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         )
         rep = Eisenstein(blocks=tuple(blocks), constituents=reps)
     else:
-        raise InvalidInputError(f"unknown representation kind {kind!r}")
+        raise InvalidInputError(f"unknown representation kind {echo(kind)}")
     if expected_rank is not None and rank(rep) != expected_rank:
         raise InvalidInputError(
-            f"representation has rank {rank(rep)}, expected {expected_rank}: {obj!r}"
+            f"representation has rank {rank(rep)}, expected {expected_rank}: {echo(obj)}"
         )
     return rep
 
@@ -355,7 +355,7 @@ def rep_to_json(rep: RepDescriptor) -> dict:
 def spec_from_json(obj: object) -> IntegralSpec:
     """Build an IntegralSpec from {"n": ..., "representations": [...]}."""
     if not isinstance(obj, dict):
-        raise InvalidInputError(f"integral spec must be a JSON object, got {obj!r}")
+        raise InvalidInputError(f"integral spec must be a JSON object, got {echo(obj)}")
     n = _wire_int(obj.get("n"), "n", "integral spec")
     reps = obj.get("representations")
     if not isinstance(reps, list):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, echo
 from .partitions import (
     Dominance,
     EpsilonVector,
@@ -556,7 +556,7 @@ def verify_prop4(
     if l < 3:
         raise InvalidInputError(f"verify_prop4 needs l >= 3, got {l}")
     if mode not in ("paper", "strict"):
-        raise InvalidInputError(f"mode must be 'paper' or 'strict', got {mode!r}")
+        raise InvalidInputError(f"mode must be 'paper' or 'strict', got {echo(mode)}")
     budget = n * (n - 1) // 2
     threshold = n * (l - 1) + 2
     feasible = 0
@@ -780,7 +780,7 @@ def verdict_to_json(v: Verdict) -> dict:
         return {"verdict": "not_applicable", "reason": v.reason}
     if isinstance(v, NotConcluded):
         return {"verdict": "not_concluded", "reason": v.reason}
-    raise InvalidInputError(f"not a verdict: {v!r}")
+    raise InvalidInputError(f"not a verdict: {echo(v)}")
 
 
 def _eisenstein_with_rect_head(rep: RepDescriptor) -> bool:
@@ -915,7 +915,7 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
         if is_speh_type(last):
             rect = attached_orbit(last).rectangle()
             if rect is None:
-                raise InternalError(f"Speh-type {last!r} has no rectangular orbit")
+                raise InternalError(f"Speh-type {echo(last)} has no rectangular orbit")
             p, q = rect
             rb = residual_bound(n, first_tops)
             required = n - q + 1

@@ -12,6 +12,13 @@ from dimeq.errors import InternalError
 # bytes, or to which reports the sweep emits, changes it.
 VERIFY_ALL_SHA256 = "283cc8e4761017d13f2a187bdef1eef329d1a1002abe7d842b4ecaac98f9453e"
 
+# sha256 of `dimeq equation solve --n 28 --l 5 --max-n 28 --max-l 5` stdout
+# in each format: the largest search the solve benchmark runs.
+SOLVE_28_5_SHA256 = {
+    "json": "eb47519d72ad41846ce92d1a1ac2fd6c1db4cec6d10b94e0061db84148899f22",
+    "csv": "8cf770e9acfe2df903b9574271e0cab8d72354a10cc84dce1f15ae44edcfbafc",
+}
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -201,6 +208,26 @@ class TestEquationCommands:
             '4,2,1,0,"[2,1,1]",3\n'
             '4,2,1,1,"[2,1,1]",3\n'
         )
+
+    def test_solve_text_golden(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "equation", "solve", "--n", "6", "--l", "3", "--format", "text"
+        )
+        assert rc == 0
+        assert out == (
+            "2 solution(s) for n=6, l=3\n"
+            "  [6] + [1,1,1,1,1,1] + [1,1,1,1,1,1]\n"
+            "  [2,1,1,1,1] + [2,1,1,1,1] + [2,1,1,1,1]\n"
+        )
+
+    @pytest.mark.parametrize("fmt", sorted(SOLVE_28_5_SHA256))
+    def test_solve_digest_at_n28_l5(self, capsys, fmt):
+        rc, out, _ = run_cli(
+            capsys, "equation", "solve", "--n", "28", "--l", "5",
+            "--max-n", "28", "--max-l", "5", "--format", fmt,
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_28_5_SHA256[fmt]
 
     def test_solve_over_default_bound_is_exit_3(self, capsys):
         rc, out, err = run_cli(capsys, "equation", "solve", "--n", "13", "--l", "2")
@@ -413,6 +440,22 @@ class TestInputBoundary:
         rc, _, err = run_cli(capsys, "equation", "check", write_spec(tmp_path, "b.json", spec))
         assert rc == 2
         assert err == 'error: integral spec needs an integer "n", got True\n'
+
+    @pytest.mark.parametrize(
+        "rep",
+        [
+            # a sorted orbit of the wrong rank, then an unsorted one
+            {"kind": "orbit", "parts": list(range(300_000, 0, -1))},
+            {"kind": "orbit", "parts": list(range(1, 300_001))},
+            {"kind": "x" * 300_000},
+            {"kind": "speh", "p": [2] * 300_000, "q": 1},
+        ],
+    )
+    def test_huge_input_is_not_echoed_whole(self, capsys, tmp_path, rep):
+        spec = {"n": 5, "representations": [rep]}
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "h.json", spec))
+        assert rc == 2 and out == "" and err.startswith("error:")
+        assert len(err.encode()) < 1024
 
     def test_json_too_deep_to_load_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -18,7 +18,6 @@ from dimeq import (
     check_dim_equation_full,
     dominance_floor,
     enumerate_orbit_solutions,
-    enumerate_partitions,
     minimal_eisenstein,
     reduce_to_whittaker_form,
 )
@@ -87,16 +86,56 @@ class TestReduce:
             reduce_to_whittaker_form(1)
 
 
-def solutions_oracle(n, l, exclude_trivial=False):
-    """Plain combinations_with_replacement search, independent of the impl."""
-    alphabet = list(enumerate_partitions(n))
+def partitions_oracle(n):
+    """Partitions of n as tuples, grown from their smallest part upward:
+    shares no code with enumerate_partitions, nor its order."""
+    out = []
+
+    def rec(left, smallest, acc):
+        if left == 0:
+            out.append(tuple(reversed(acc)))
+            return
+        for part in range(smallest, left + 1):
+            rec(left - part, part, acc + [part])
+
+    rec(n, 1, [])
+    return out
+
+
+def rep_dim_oracle(parts):
+    """(n^2 - sum of squared column lengths) / 2, on the tuple."""
+    n = sum(parts)
+    cols = [sum(1 for p in parts if p > i) for i in range(parts[0])]
+    return (n * n - sum(c * c for c in cols)) // 2
+
+
+def dominates_oracle(a, b):
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
+        if sa < sb:
+            return False
+    return True
+
+
+def solutions_oracle(n, l, exclude_trivial=False, max_one_dominant=False):
+    """Plain combinations_with_replacement search over tuples, independent
+    of the impl and of Partition."""
+    alphabet = partitions_oracle(n)
     if exclude_trivial:
-        alphabet = [p for p in alphabet if not p.is_trivial_orbit()]
+        alphabet = [p for p in alphabet if p[0] > 1]
+    dims = [rep_dim_oracle(p) for p in alphabet]
+    floor = (2,) * (n // 2) + (1,) * (n % 2)
+    dominant = [dominates_oracle(p, floor) for p in alphabet]
     target = n * (n - 1) // 2
     out = set()
-    for combo in itertools.combinations_with_replacement(alphabet, l):
-        if sum(p.rep_dim() for p in combo) == target:
-            out.add(tuple(sorted((p.parts for p in combo), reverse=True)))
+    for combo in itertools.combinations_with_replacement(range(len(alphabet)), l):
+        if sum(dims[i] for i in combo) != target:
+            continue
+        if max_one_dominant and sum(dominant[i] for i in combo) > 1:
+            continue
+        out.add(tuple(sorted((alphabet[i] for i in combo), reverse=True)))
     return sorted(out, reverse=True)
 
 
@@ -117,14 +156,16 @@ class TestSolve:
         assert [[p.parts for p in s] for s in got] == [[(2, 1, 1), (2, 1, 1)]]
 
     def test_matches_oracle(self):
-        for n in range(2, 6):
-            for l in range(1, 4):
-                for ex in (False, True):
-                    got = [
-                        tuple(p.parts for p in s)
-                        for s in enumerate_orbit_solutions(n, l, exclude_trivial=ex)
-                    ]
-                    assert got == solutions_oracle(n, l, ex), (n, l, ex)
+        for n, l, ex, dom in itertools.product(
+            range(2, 11), range(1, 5), (False, True), (False, True)
+        ):
+            got = [
+                tuple(p.parts for p in s)
+                for s in enumerate_orbit_solutions(
+                    n, l, exclude_trivial=ex, max_one_dominant=dom
+                )
+            ]
+            assert got == solutions_oracle(n, l, ex, dom), (n, l, ex, dom)
 
     def test_canonical_order(self):
         sols = enumerate_orbit_solutions(6, 2)

@@ -102,6 +102,26 @@ def add_reference(la, lb):
     return tuple(summed)
 
 
+def enumerate_reference(n, max_length=None):
+    """The recursive tuple generator enumerate_partitions used before it
+    walked runs: partitions of n with at most max_length parts, in
+    reverse-lexicographic order."""
+    if max_length is None:
+        max_length = n
+
+    def rec(remaining, cap, slots):
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0 or cap * slots < remaining:
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    return rec(n, n, max_length)
+
+
 def runs_of(parts):
     return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
 
@@ -363,6 +383,20 @@ class TestEnumeration:
             for max_length in (None, 1, 2, 3, n):
                 got = {p.parts for p in enumerate_partitions(n, max_length)}
                 assert got == all_partitions_oracle(n, max_length)
+
+    def test_same_sequence_as_reference(self):
+        # the run walk must reproduce the old generator's sequence exactly,
+        # under every length bound, including the empty (0) and loose (n+1)
+        for n in range(1, 21):
+            for max_length in [None, *range(n + 2)]:
+                got = [
+                    (p.parts, p.runs, p.n, p.length)
+                    for p in enumerate_partitions(n, max_length)
+                ]
+                want = [
+                    (t, runs_of(t), n, len(t)) for t in enumerate_reference(n, max_length)
+                ]
+                assert got == want, (n, max_length)
 
     def test_order_is_strictly_decreasing_lexicographic(self):
         for n in range(1, 11):

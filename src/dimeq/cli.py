@@ -47,17 +47,12 @@ from .partitions import EpsilonVector, Partition, partition_from_epsilon
 from .representations import attached_orbit, rep_from_json, spec_from_json
 from .theorems import (
     DEFAULT_CEX_CAP,
+    VERIFIERS,
     Vanishes,
     VerificationReport,
     vanishing_verdict,
     verdict_to_json,
-    verify_epsilon_orbit_claim,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma2_reduction,
-    verify_prop3,
-    verify_prop4,
-    verify_prop5,
+    verification_sweep,
 )
 
 
@@ -68,7 +63,6 @@ class CliConfig:
     max_n: int = DEFAULT_MAX_N
     max_l: int = DEFAULT_MAX_L
     cex_cap: int = DEFAULT_CEX_CAP
-    workers: int = 1
 
 
 def _env_int(name: str) -> int | None:
@@ -92,10 +86,7 @@ def resolve_config(args: argparse.Namespace) -> CliConfig:
         max_n=pick(getattr(args, "max_n", None), "DIMEQ_MAX_N", DEFAULT_MAX_N),
         max_l=pick(getattr(args, "max_l", None), "DIMEQ_MAX_L", DEFAULT_MAX_L),
         cex_cap=pick(getattr(args, "cex_cap", None), "DIMEQ_CEX_CAP", DEFAULT_CEX_CAP),
-        workers=pick(getattr(args, "workers", None), "DIMEQ_WORKERS", 1),
     )
-    if cfg.workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.cex_cap < 0:
         raise InvalidInputError(f"cex-cap must be >= 0, got {cfg.cex_cap}")
     return cfg
@@ -132,6 +123,8 @@ def _load_json(path: str) -> object:
             raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise InvalidInputError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # not UTF-8, or an integer too long to convert
+            raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _report_text(report: VerificationReport) -> str:
@@ -214,20 +207,7 @@ def cmd_rep_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_equation_check(args: argparse.Namespace) -> int:
-    spec = spec_from_json(_load_json(args.file))
-    report = check_dim_equation(spec)
-    _emit(
-        args,
-        report.to_json(),
-        f"{report.lhs} {'==' if report.holds else '!='} {report.rhs} "
-        f"(slack {report.slack})",
-    )
-    return 0 if report.holds else 1
-
-
-def cmd_equation_check_full(args: argparse.Namespace) -> int:
-    spec = spec_from_json(_load_json(args.file))
-    report = check_dim_equation_full(spec)
+    report = args.check(spec_from_json(_load_json(args.file)))
     _emit(
         args,
         report.to_json(),
@@ -313,84 +293,17 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def cmd_verify_lemma1(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    return _finish_report(args, verify_lemma1(args.n, cex_cap=cfg.cex_cap))
-
-
-def cmd_verify_lemma2(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(args, verify_lemma2(args.n, cex_cap=cfg.cex_cap))
-
-
-def cmd_verify_lemma2_reduction(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(args, verify_lemma2_reduction(args.n, cex_cap=cfg.cex_cap))
-
-
-def cmd_verify_prop3(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(args, verify_prop3(args.n, cex_cap=cfg.cex_cap))
-
-
-def cmd_verify_prop4(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(
-        args, verify_prop4(args.n, args.l, mode=args.mode, cex_cap=cfg.cex_cap)
-    )
-
-
-def cmd_verify_prop5(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(
-        args, verify_prop5(args.n, args.q, args.l, cex_cap=cfg.cex_cap)
-    )
-
-
-def cmd_verify_epsilon_orbit(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    return _finish_report(
-        args, verify_epsilon_orbit_claim(args.n, args.p, args.q, cex_cap=cfg.cex_cap)
-    )
-
-
-def full_verification_sweep(
-    max_n: int | None = None, cex_cap: int = DEFAULT_CEX_CAP
-) -> list[VerificationReport]:
-    """Every verifier over its full acceptance range (optionally capped)."""
-
-    def cap(limit: int) -> int:
-        return limit if max_n is None else min(limit, max_n)
-
-    reports: list[VerificationReport] = []
-    for n in range(2, cap(25) + 1):
-        reports.append(verify_lemma2(n, cex_cap=cex_cap))
-    for n in range(2, cap(16) + 1):
-        reports.append(verify_lemma2_reduction(n, cex_cap=cex_cap))
-    for n in range(2, cap(60) + 1):
-        reports.append(verify_lemma1(n, cex_cap=cex_cap))
-    for n in range(4, cap(16) + 1):
-        reports.append(verify_prop3(n, cex_cap=cex_cap))
-    for n in range(4, cap(40) + 1):
-        for l in range(3, 7):
-            reports.append(verify_prop4(n, l, mode="paper", cex_cap=cex_cap))
-    for n in range(4, cap(40) + 1):
-        for q in range(2, n // 2 + 1):
-            if n % q != 0:
-                continue
-            for l in range(3, 7):
-                reports.append(verify_prop5(n, q, l, cex_cap=cex_cap))
-    for n in range(2, cap(14) + 1):
-        for p in range(2, n + 1):
-            if n % p != 0:
-                continue
-            reports.append(verify_epsilon_orbit_claim(n, p, n // p, cex_cap=cex_cap))
-    return reports
+    v = args.verifier
+    mode = {"mode": args.mode} if v.modes else {}
+    report = v.func(*[getattr(args, p) for p in v.params], cex_cap=cfg.cex_cap, **mode)
+    return _finish_report(args, report)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    reports = full_verification_sweep(max_n=args.max_n, cex_cap=cfg.cex_cap)
+    reports = verification_sweep(max_n=args.max_n, cex_cap=cfg.cex_cap)
     all_passed = all(r.passed for r in reports)
     payload = {
         "all_passed": all_passed,
@@ -434,12 +347,11 @@ def _add_output_flags(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
 def _add_bound_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--max-l", type=int, default=None, dest="max_l")
-    p.add_argument("--workers", type=int, default=None)
 
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cex-cap", type=int, default=None, dest="cex_cap")
-    p.add_argument("--workers", type=int, default=None)
+    _add_output_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = eq_sub.add_parser("check", help="check sum of dims == n(n-1)/2")
     sp.add_argument("file")
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_equation_check)
+    sp.set_defaults(func=cmd_equation_check, check=check_dim_equation)
     sp = eq_sub.add_parser("check-full", help="check sum of dims == n^2-1")
     sp.add_argument("file")
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_equation_check_full)
+    sp.set_defaults(func=cmd_equation_check, check=check_dim_equation_full)
     sp = eq_sub.add_parser("reduce", help="generic/minimal dims and the target")
     sp.add_argument("--n", type=int, required=True)
     _add_output_flags(sp)
@@ -516,49 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
     # verify
     p_ver = sub.add_parser("verify", help="exhaustive desk-scale verifiers")
     ver_sub = p_ver.add_subparsers(dest="action", required=True)
-    for name, func, extra in (
-        ("lemma1", cmd_verify_lemma1, ()),
-        ("lemma2", cmd_verify_lemma2, ()),
-        ("lemma2-reduction", cmd_verify_lemma2_reduction, ()),
-        ("prop3", cmd_verify_prop3, ()),
-    ):
+    for name, v in VERIFIERS.items():
         sp = ver_sub.add_parser(name)
-        sp.add_argument("--n", type=int, required=True)
+        for param in v.params:
+            sp.add_argument(f"--{param}", type=int, required=True)
+        if v.modes:
+            sp.add_argument("--mode", choices=v.modes, default=v.modes[0])
         _add_verify_flags(sp)
-        _add_output_flags(sp)
-        sp.set_defaults(func=func)
-    sp = ver_sub.add_parser("prop4")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--mode", choices=["paper", "strict"], default="paper")
-    _add_verify_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_verify_prop4)
-    sp = ver_sub.add_parser("prop5")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    _add_verify_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_verify_prop5)
-    sp = ver_sub.add_parser("epsilon-orbit")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    _add_verify_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_verify_epsilon_orbit)
+        sp.set_defaults(func=cmd_verify, verifier=v)
     sp = ver_sub.add_parser("all", help="every verifier over its full range")
     sp.add_argument("--max-n", type=int, default=None, dest="max_n")
     _add_verify_flags(sp)
-    _add_output_flags(sp)
     sp.set_defaults(func=cmd_verify_all)
 
     # vanish
     sp = sub.add_parser("vanish", help="verdict for an integral specification")
     sp.add_argument("file")
     sp.add_argument("--expect-vanish", action="store_true", dest="expect_vanish")
-    sp.add_argument("--workers", type=int, default=None)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_vanish)
 

@@ -169,6 +169,8 @@ class Partition:
             raise InvalidInputError(f"cannot parse partition from {echo(text)}: {exc}") from None
         except RecursionError:
             raise InvalidInputError("partition text is nested too deeply") from None
+        except ValueError as exc:  # an integer too long to convert
+            raise InvalidInputError(f"cannot parse partition: {exc}") from None
         if not isinstance(data, list):
             raise InvalidInputError(f"partition text must be a JSON list, got {echo(text)}")
         return cls(data)

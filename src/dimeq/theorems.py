@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .equation import EquationReport, check_dim_equation
 from .errors import InternalError, InvalidInputError, echo
@@ -729,6 +729,65 @@ def verify_epsilon_orbit_claim(
         "boundary_pattern_recovers_rectangle": boundary == target,
     }
     return _finish("epsilon_orbit", params, space, violations, cex_cap)
+
+
+# -- the verifier registry ------------------------------------------------------
+
+
+class Verifier(NamedTuple):
+    """How `dimeq verify` calls one verify_* function, and what `verify all`
+    sweeps with it.
+
+    params are its integer arguments in call order, one --flag each; modes,
+    when given, are the choices of its mode argument, the first the default.
+    `verify all` calls it, in the default mode, on every argument tuple of
+    cases(n) for each n in the inclusive n_range.
+    """
+
+    func: Callable[..., VerificationReport]
+    params: tuple[str, ...]
+    n_range: tuple[int, int]
+    cases: Callable[[int], Iterable[tuple[int, ...]]] = lambda n: ((n,),)
+    modes: tuple[str, ...] = ()
+
+
+# Keyed by the `dimeq verify` command.  Table order is the order of the
+# `verify all` reports, so reordering it changes that output's bytes.
+VERIFIERS: dict[str, Verifier] = {
+    "lemma2": Verifier(verify_lemma2, ("n",), (2, 25)),
+    "lemma2-reduction": Verifier(verify_lemma2_reduction, ("n",), (2, 16)),
+    "lemma1": Verifier(verify_lemma1, ("n",), (2, 60)),
+    "prop3": Verifier(verify_prop3, ("n",), (4, 16)),
+    "prop4": Verifier(
+        verify_prop4, ("n", "l"), (4, 40),
+        lambda n: [(n, l) for l in range(3, 7)],
+        modes=("paper", "strict"),
+    ),
+    "prop5": Verifier(
+        verify_prop5, ("n", "q", "l"), (4, 40),
+        lambda n: [(n, q, l) for q in range(2, n // 2 + 1) if n % q == 0
+                   for l in range(3, 7)],
+    ),
+    "epsilon-orbit": Verifier(
+        verify_epsilon_orbit_claim, ("n", "p", "q"), (2, 14),
+        lambda n: [(n, p, n // p) for p in range(2, n + 1) if n % p == 0],
+    ),
+}
+
+
+def verification_sweep(
+    max_n: int | None = None, cex_cap: int = DEFAULT_CEX_CAP
+) -> list[VerificationReport]:
+    """Every registered verifier over its n_range, capped at max_n."""
+    lowest = min(v.n_range[0] for v in VERIFIERS.values())
+    if max_n is not None and max_n < lowest:
+        raise InvalidInputError(f"max-n must be >= {lowest}, got {max_n}")
+    reports: list[VerificationReport] = []
+    for v in VERIFIERS.values():
+        lo, hi = v.n_range
+        for n in range(lo, (hi if max_n is None else min(hi, max_n)) + 1):
+            reports.extend(v.func(*args, cex_cap=cex_cap) for args in v.cases(n))
+    return reports
 
 
 # -- the verdict engine ----------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dimeq import cli
+from dimeq import cli, theorems
 from dimeq.errors import InternalError
 
 # sha256 of the full `dimeq verify all` stdout; any change to a report's
@@ -109,6 +109,12 @@ class TestPartitionCommands:
     def test_deeply_nested_partition_is_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "partition", "dim", "[" * TOO_DEEP + "]" * TOO_DEEP)
         assert rc == 2 and err == "error: partition text is nested too deeply\n"
+
+    def test_integer_too_long_to_convert_is_exit_2(self, capsys):
+        # CPython refuses int conversions of more than 4,300 digits
+        rc, out, err = run_cli(capsys, "partition", "dim", "[1" + "0" * 5000 + "]")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot parse partition:") and "digits" in err
 
     def test_bad_bits_is_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "partition", "from-epsilon", "10201")
@@ -333,20 +339,26 @@ class TestVerifyCommands:
         assert payload["report_count"] == 50
         assert len(payload["reports"]) == 50
 
-    def test_workers_must_be_positive(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "verify", "lemma1", "--n", "6", "--workers", "0"
-        )
-        assert rc == 2 and err.startswith("error:")
+    @pytest.mark.parametrize("cap", ["1", "0", "-5"])
+    def test_all_capped_below_every_range_is_exit_2(self, capsys, cap):
+        # a cap below every verifier's range would sweep nothing and pass
+        rc, out, err = run_cli(capsys, "verify", "all", "--max-n", cap)
+        assert rc == 2 and out == ""
+        assert err == f"error: max-n must be >= 2, got {cap}\n"
 
-    def test_workers_do_not_change_bytes(self, capsys, monkeypatch):
+    def test_all_capped_at_the_lowest_range(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "all", "--max-n", "2")
+        statements = [r["statement"] for r in json.loads(out)["reports"]]
+        assert rc == 0
+        assert statements == ["lemma2", "lemma2_reduction", "lemma1", "epsilon_orbit"]
+
+    def test_workers_knob_is_gone(self, capsys, monkeypatch):
+        rc, out, _ = run_cli(capsys, "verify", "lemma2", "--n", "9", "--workers", "4")
+        assert rc == 2 and out == ""
         _, base, _ = run_cli(capsys, "verify", "lemma2", "--n", "9")
-        _, with_flag, _ = run_cli(
-            capsys, "verify", "lemma2", "--n", "9", "--workers", "4"
-        )
         monkeypatch.setenv("DIMEQ_WORKERS", "7")
         _, with_env, _ = run_cli(capsys, "verify", "lemma2", "--n", "9")
-        assert base == with_flag == with_env
+        assert base == with_env
 
 
 class TestVanishCommand:
@@ -457,6 +469,22 @@ class TestInputBoundary:
         assert rc == 2 and out == "" and err.startswith("error:")
         assert len(err.encode()) < 1024
 
+    def test_integer_too_long_to_convert_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"n": 1' + "0" * 5000 + ', "representations": [{"kind": "generic"}]}',
+            encoding="utf-8",
+        )
+        rc, out, err = run_cli(capsys, "vanish", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and "digits" in err
+
+    def test_spec_not_utf8_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"n": 3}')
+        rc, out, err = run_cli(capsys, "vanish", str(path))
+        assert rc == 2 and out == "" and "utf-8" in err
+
     def test_json_too_deep_to_load_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(nested_spec_text(TOO_DEEP // 2), encoding="utf-8")
@@ -483,7 +511,10 @@ class TestPlumbing:
         def broken(n, cex_cap):
             raise InternalError("routes disagree")
 
-        monkeypatch.setattr(cli, "verify_lemma1", broken)
+        entry = theorems.VERIFIERS["lemma1"]
+        monkeypatch.setitem(
+            theorems.VERIFIERS, "lemma1", entry._replace(func=broken)
+        )
         rc, out, err = run_cli(capsys, "verify", "lemma1", "--n", "6")
         assert rc == 4 and out == ""
         assert err == "internal error: routes disagree\n"

@@ -1,9 +1,11 @@
 """Exhaustive verifiers and the vanishing-verdict engine."""
 
 import ast
+import inspect
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,7 @@ from dimeq import (
     verify_prop4,
     verify_prop5,
 )
-from dimeq.theorems import _finish
+from dimeq.theorems import VERIFIERS, _finish, verification_sweep
 
 T = TrivialConstituent
 
@@ -775,6 +777,23 @@ class TestHugeRanks:
 
         assert verdict_kind(family(small)) == kind
         assert verdict_kind(family(huge)) == kind
+
+
+class TestVerifierRegistry:
+    def test_readme_table_lists_the_registry(self):
+        readme = Path(__file__).parent.parent / "README.md"
+        listed = re.findall(r"^\| `(verify_\w+)\(", readme.read_text(encoding="utf-8"), re.M)
+        assert listed == [v.func.__name__ for v in VERIFIERS.values()]
+
+    def test_params_are_the_leading_arguments(self):
+        for v in VERIFIERS.values():
+            names = list(inspect.signature(v.func).parameters)
+            assert names[: len(v.params)] == list(v.params), v.func.__name__
+            assert ("mode" in names) == bool(v.modes), v.func.__name__
+
+    def test_cap_below_every_range_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="max-n must be >= 2, got 1"):
+            verification_sweep(max_n=1)
 
 
 class TestSoundnessChecks:

@@ -352,7 +352,15 @@ class TestVerifyCommands:
         assert rc == 0
         assert statements == ["lemma2", "lemma2_reduction", "lemma1", "epsilon_orbit"]
 
-    def test_workers_knob_is_gone(self, capsys, monkeypatch):
+    def test_workers_must_be_positive(self, capsys):
+        # the --workers knob is deleted: any value is an unknown flag
+        rc, out, err = run_cli(
+            capsys, "verify", "lemma1", "--n", "6", "--workers", "0"
+        )
+        assert rc == 2 and out == ""
+        assert "error: unrecognized arguments: --workers 0" in err
+
+    def test_workers_do_not_change_bytes(self, capsys, monkeypatch):
         rc, out, _ = run_cli(capsys, "verify", "lemma2", "--n", "9", "--workers", "4")
         assert rc == 2 and out == ""
         _, base, _ = run_cli(capsys, "verify", "lemma2", "--n", "9")

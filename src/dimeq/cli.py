@@ -459,7 +459,13 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # CPython will not print an int of over 4,300 digits
+            # an InvalidInputError may quote the same message about input
+            if type(exc) is ValueError and "integer string conversion" in str(exc):
+                raise ResourceLimitError(f"result too large to print: {exc}") from None
+            raise
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,6 @@ from .representations import (
     dim_rep,
     is_speh_type,
     top_trivial_block,
-    trivial_block_at,
 )
 
 DEFAULT_CEX_CAP = 100
@@ -855,12 +854,15 @@ def _eisenstein_with_rect_head(rep: RepDescriptor) -> bool:
 def vanishing_verdict(spec: IntegralSpec) -> Verdict:
     """Decide what the verified statements say about one integral.
 
-    The cascade mirrors the order in which the statements gain purchase:
-    rectangular-pair obstruction first, then the numeric equation, then the
-    induced-with-trivial-top patterns in increasing generality.  Soundness
-    over completeness throughout — every Vanishes/EquationFails carries the
-    inequalities it re-verified, and anything outside the covered patterns
-    falls through to NotApplicable/NotConcluded.
+    Rules, first decisive one wins: lemma1 (two Speh-type representations),
+    prop3 (l = 2, equation fails), prop1 (l = 2), cor1 (l >= 3, leading
+    trivial blocks jointly too large) and prop5 (l >= 3, all but one lead
+    with a trivial block above n/2, and that one is Speh-type).  Which rule
+    decides does not depend on the order of the representations.  Every
+    Vanishes/EquationFails carries the inequalities it re-verified; anything
+    else falls through to NotApplicable/NotConcluded.  Proposition 4 is
+    checked by verify_prop4, not applied here: its block above n/2 can only
+    lead, where cor1 has already tested the same sum.
     """
     if spec.l < 2:
         raise InvalidInputError(f"vanishing_verdict needs at least 2 representations")
@@ -896,8 +898,6 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
         )
 
     # Equation holds.  Look for a pattern that still forces vanishing.
-    reasons: list[str] = []
-
     if l == 2:
         for i, r in enumerate(reps):
             m = top_trivial_block(r)
@@ -915,12 +915,16 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
             "leading constituent"
         )
 
-    # l >= 3
+    # l >= 3: Corollary 1, then Proposition 5.
     tops = [top_trivial_block(r) for r in reps]
-    if all(m is not None for m in tops):
-        total = sum(tops)
-        threshold = n * (l - 1) + 2
-        if total >= threshold:
+    if None in tops:
+        reason = (
+            "cor1: not every representation is induced with a one-dimensional "
+            "leading constituent"
+        )
+    else:
+        total, threshold = sum(tops), n * (l - 1) + 2
+        if check_corollary1(n, l, tops):
             return Vanishes(
                 by="cor1",
                 witness={
@@ -930,75 +934,25 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
                     "equation_report": report.to_json(),
                 },
             )
-        reasons.append(f"cor1: leading block sum {total} < {threshold}")
-    else:
-        reasons.append(
-            "cor1: not every representation is induced with a one-dimensional "
-            "leading constituent"
-        )
+        reason = f"cor1: leading block sum {total} < {threshold}"
 
-    first, last = reps[:-1], reps[-1]
-    first_tops = [top_trivial_block(r) for r in first]
-    if all(m is not None and 2 * m > n for m in first_tops):
-        if isinstance(last, Eisenstein):
-            threshold = n * (l - 1) + 2
-            small_blocks = []
-            for j in range(1, len(last.blocks) + 1):
-                mj = trivial_block_at(last, j)
-                if mj is None:
-                    continue
-                if 2 * mj > n:
-                    total = sum(first_tops) + mj
-                    if total >= threshold:
-                        return Vanishes(
-                            by="prop4",
-                            witness={
-                                "leading_blocks": first_tops,
-                                "distinguished_block": mj,
-                                "block_position": j,
-                                "block_sum": total,
-                                "required": threshold,
-                                "equation_report": report.to_json(),
-                            },
-                        )
-                    reasons.append(
-                        f"prop4: block sum {total} < {threshold} despite matching shape"
-                    )
-                else:
-                    small_blocks.append(mj)
-            if small_blocks:
-                reasons.append(
-                    f"prop4: trivial block sizes {small_blocks} do not exceed n/2, "
-                    "outside the covered range"
-                )
-        if is_speh_type(last):
-            rect = attached_orbit(last).rectangle()
-            if rect is None:
-                raise InternalError(f"Speh-type {echo(last)} has no rectangular orbit")
-            p, q = rect
-            rb = residual_bound(n, first_tops)
-            required = n - q + 1
-            if rb >= required:
-                return Vanishes(
-                    by="prop5",
-                    witness={
-                        "leading_blocks": first_tops,
-                        "rectangle": [p, q],
-                        "residual_bound": rb,
-                        "required": required,
-                        "equation_report": report.to_json(),
-                    },
-                )
-            reasons.append(f"prop5: residual bound {rb} < {required}")
-        if not isinstance(last, Eisenstein) and not is_speh_type(last):
-            reasons.append(
-                "residual patterns: last representation is neither Speh-type nor "
-                "induced with a trivial block"
+    # prop5: a Speh-type representation never leads with a trivial block
+    # above n/2, so its shape, not its position, marks it as the rectangle.
+    small = [i for i, m in enumerate(tops) if m is None or 2 * m <= n]
+    if len(small) == 1 and is_speh_type(reps[small[0]]):
+        p, q = attached_orbit(reps[small[0]]).rectangle()
+        leading = [m for i, m in enumerate(tops) if i != small[0]]
+        rb = residual_bound(n, leading)
+        required = n - q + 1
+        if rb >= required:
+            return Vanishes(
+                by="prop5",
+                witness={
+                    "leading_blocks": leading,
+                    "rectangle": [p, q],
+                    "residual_bound": rb,
+                    "required": required,
+                    "equation_report": report.to_json(),
+                },
             )
-    else:
-        reasons.append(
-            "residual patterns: leading representations are not all induced with "
-            "a trivial top block exceeding n/2"
-        )
-
-    return NotConcluded(reason=reasons[0])
+    return NotConcluded(reason=reason)

@@ -116,6 +116,13 @@ class TestPartitionCommands:
         assert rc == 2 and out == ""
         assert err.startswith("error: cannot parse partition:") and "digits" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_result_too_long_to_print_is_exit_3(self, capsys, fmt):
+        # a 2,201-digit part converts, but its orbit dimension has 4,400 digits
+        rc, out, err = run_cli(capsys, "partition", "dim", "[1" + "0" * 2200 + "]", "--format", fmt)
+        assert rc == 3 and out == ""
+        assert err.startswith("resource limit: result too large to print:")
+
     def test_bad_bits_is_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "partition", "from-epsilon", "10201")
         assert rc == 2 and err.startswith("error:")
@@ -486,6 +493,16 @@ class TestInputBoundary:
         rc, out, err = run_cli(capsys, "vanish", str(path))
         assert rc == 2 and out == ""
         assert err.startswith(f"error: {path}: ") and "digits" in err
+
+    def test_result_too_long_to_print_is_exit_3(self, capsys, tmp_path):
+        n = 10**2200
+        spec = {
+            "n": n,
+            "representations": [{"kind": "generic"}, {"kind": "speh", "p": 2, "q": n // 2}],
+        }
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "wide.json", spec))
+        assert rc == 3 and out == ""
+        assert err.startswith("resource limit: result too large to print:")
 
     def test_spec_not_utf8_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"

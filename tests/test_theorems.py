@@ -1,6 +1,7 @@
 """Exhaustive verifiers and the vanishing-verdict engine."""
 
 import ast
+import collections
 import inspect
 import itertools
 import json
@@ -38,6 +39,7 @@ from dimeq import (
     minimal_eisenstein,
     partition_from_epsilon,
     residual_bound,
+    top_trivial_block,
     vanishing_verdict,
     verdict_to_json,
     verify_epsilon_orbit_claim,
@@ -741,6 +743,61 @@ class TestVerdict:
         assert verdict_to_json(vanishing_verdict(spec)) == verdict_to_json(
             vanishing_verdict(spec)
         )
+
+
+    def test_prop5_in_every_ordering(self):
+        rect = Speh(2, 8)
+        for reps in (
+            (
+                Eisenstein((15, 1), (T(15), T(1))),
+                Eisenstein((13, 2, 1), (T(13), T(2), T(1))),
+                rect,
+            ),
+            (Eisenstein((14, 2), (T(14), T(2))),) * 2 + (rect,),
+        ):
+            for order in set(itertools.permutations(reps)):
+                v = vanishing_verdict(IntegralSpec(16, order))
+                assert isinstance(v, Vanishes) and v.by == "prop5", order
+                assert v.witness["rectangle"] == [2, 8]
+                others = [top_trivial_block(r) for r in order if r != rect]
+                assert v.witness["leading_blocks"] == others
+
+
+def big_headed_eisensteins(n):
+    """Every all-trivial Eisenstein on GL_n whose leading block exceeds n/2."""
+    return [
+        Eisenstein(p.parts, tuple(T(b) for b in p.parts))
+        for p in enumerate_partitions(n)
+        if 2 * p.parts[0] > n and len(p.parts) > 1
+    ]
+
+
+def rectangles(n):
+    return [Generic(n)] + [Speh(p, n // p) for p in range(2, n + 1) if n % p == 0]
+
+
+def test_verdict_ignores_where_the_rectangle_is_listed():
+    # two representations leading with a block above n/2, plus a rectangle:
+    # the prop5 shape.  At n = 16 and 20 the verdict once depended on order.
+    # Only specs on which the equation holds get past the order-blind rules.
+    fired = collections.Counter()
+    for n in range(4, 27):
+        eis = [(e, dim_rep(e)) for e in big_headed_eisensteins(n)]
+        rects = [(r, dim_rep(r)) for r in rectangles(n)]
+        for (a, da), (b, db) in itertools.combinations_with_replacement(eis, 2):
+            for rect, dr in rects:
+                if da + db + dr != n * (n - 1) // 2:
+                    continue
+                kinds = set()
+                for order in ((a, b, rect), (a, rect, b), (rect, a, b)):
+                    j = verdict_to_json(vanishing_verdict(IntegralSpec(n, order)))
+                    kinds.add((j["verdict"], j.get("by")))
+                assert len(kinds) == 1, (n, a, b, rect, kinds)
+                fired[kinds.pop(), n] += 1
+    prop5 = ("vanishes", "prop5")
+    assert fired == {
+        (prop5, 16): 2, (prop5, 20): 2, (prop5, 22): 1, (prop5, 24): 1, (prop5, 26): 1
+    }
 
 
 def lemma1_family(n):

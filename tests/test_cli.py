@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -577,3 +578,52 @@ class TestPlumbing:
         rc = cli.main()
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["target"] == 3
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for `dimeq ARGV` at
+# COLUMNS=80: --help of the root, of each group and of each of the 20 leaves,
+# then each group run without its action (usage on stderr, exit 2).
+USAGE_SHA256 = {
+    "--help": "e60b8709c3d4fa38eb14dc2c7aaa83a3fd326a9abc84f4cbee0fff6c0f5220d3",
+    "partition --help": "3e1ab95b56b3199a431582202b5d107697e56bbdcfb3e1708293cf0043f95f65",
+    "rep --help": "9af81ce2b56525b107774c8fdf1772338787ed7d532cbd4ca82d0a436f1e8c5d",
+    "equation --help": "e844d9d6ed353a1bbbaeea5256e7d4dd540f8f67f389b2aa2e21ad646ab32b11",
+    "verify --help": "21afdac8b988b444e20784dc59b0885cf10c1d6c6bc653b2fb1169c96293aee3",
+    "partition dim --help": "5ed8e6443c442f0f0257378d833e8e94b646670a56eb3e7bc8bce91a88f07028",
+    "partition transpose --help": "6cab77cd95018f7680e408976ef7fc05eb4fabd24151f6dd514a5c2c9cf876e9",
+    "partition compare --help": "c21b711bd0b036e7f60fd03298e529571ce6727c6617aeafef84d86e5db5223b",
+    "partition add --help": "9322109fefb3e729560a57f4df4bc9889e50c56da29cc2fdead883eee3f6a6fb",
+    "partition from-epsilon --help": "77aebcdf958f0f56409a7f0274bb66c74d9c03011e0cc2f4b3a8917f1a512b6b",
+    "rep orbit --help": "b74986c9b6c90e31e42bdc6e0e076617a7a1ad2cd8b5b412693c27a74fb715ae",
+    "rep dim --help": "bb5b50f4ff3a7f5ec6388c9e373685e3d60db2338849b3365f32009cde9c9dbd",
+    "equation check --help": "44b505315ecaad766eaa0080081bb482840a4a758012f4df8d476dbe418a11d6",
+    "equation check-full --help": "8f3ee7ed1795a983c3f4642817b5a44194732667196c4ddf1d88f98e6f346dab",
+    "equation reduce --help": "7777c895ee8405af45bcf685ed228195c6990c24e43836c0537887aae68dc927",
+    "equation solve --help": "26aa89b8376de278d46525679c4fdb08e39a4accceadf75635a2ec2060b8f5f2",
+    "verify lemma2 --help": "7bcdb9575df60ff7c31c79694b3fa9f5b93b19eae98db84409e78c28b4cb7e45",
+    "verify lemma2-reduction --help": "4192c38090e742aec388612b8d848bfec55929386705281e5ecd87ca4908df7e",
+    "verify lemma1 --help": "1c6c6ae054f3074a129416370c11c9559290fd9bdd351afb637c3ce2a859e021",
+    "verify prop3 --help": "fa111c8980ee25428e84d4b90b637dd08557f2db4be10c08571376ad1379bc8a",
+    "verify prop4 --help": "87f4792483dd06221e3ccc8d8009bfc4bc87300515b35ac79879a7b1c85fe6a0",
+    "verify prop5 --help": "aea6cdda4f96bf9e74cb9fca9fa1e9c32b6438c3e914b2289d6651135a5a5e60",
+    "verify epsilon-orbit --help": "e74b27b68d7c6b71e3d2f02ab22345ef5858fc07f753e1df630186ccd7efde93",
+    "verify all --help": "13325ad1773aca5500dde3c676db0923400b1c0f9366a125b2b755ae25e00cf3",
+    "vanish --help": "738046cf5c794f1f5aa4acaee4fb154df4cfde23dc7b777d1ce2a6beeaf37e8e",
+    "partition": "e2c2d289fc76020bad21e398574ba2e2865116e42313c22d28920e16d79d40bd",
+    "rep": "b6b2dd0730bb4e8eaf7ddf79892c22a03c2cdf9e11073d450003d4d9cc2c7d6f",
+    "equation": "e63be57431fb1c6243a3d25d31007b3dc6af265678d4a5f1a4647af409fbb338",
+    "verify": "29e46088fd99c71218826f25f5f26b50228dcea37f7360ff585ebada60b336cb",
+}
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or not (3, 10) <= sys.version_info[:2] <= (3, 12),
+    reason="argparse wraps usage lines differently outside CPython 3.10-3.12",
+)
+class TestUsageBytes:
+    @pytest.mark.parametrize("argv", list(USAGE_SHA256))
+    def test_usage_and_help_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run_cli(capsys, *argv.split())
+        dumped = json.dumps([rc, out, err]).encode()
+        assert hashlib.sha256(dumped).hexdigest() == USAGE_SHA256[argv]

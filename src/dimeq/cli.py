@@ -32,7 +32,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from .equation import (
     DEFAULT_MAX_L,
@@ -49,47 +49,30 @@ from .theorems import (
     DEFAULT_CEX_CAP,
     VERIFIERS,
     Vanishes,
-    VerificationReport,
     vanishing_verdict,
     verdict_to_json,
     verification_sweep,
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved knobs: flag wins over environment wins over default."""
-
-    max_n: int = DEFAULT_MAX_N
-    max_l: int = DEFAULT_MAX_L
-    cex_cap: int = DEFAULT_CEX_CAP
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _knob(flag_value: int | None, env_name: str, default: int) -> int:
+    """A command's knob: flag wins over environment wins over default."""
+    if flag_value is not None:
+        return flag_value
+    raw = os.environ.get(env_name)
+    if not raw:
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise InvalidInputError(f"{name} must be an integer, got {echo(raw)}") from None
+        raise InvalidInputError(f"{env_name} must be an integer, got {echo(raw)}") from None
 
 
-def resolve_config(args: argparse.Namespace) -> CliConfig:
-    def pick(flag_value: int | None, env_name: str, default: int) -> int:
-        if flag_value is not None:
-            return flag_value
-        env = _env_int(env_name)
-        return env if env is not None else default
-
-    cfg = CliConfig(
-        max_n=pick(getattr(args, "max_n", None), "DIMEQ_MAX_N", DEFAULT_MAX_N),
-        max_l=pick(getattr(args, "max_l", None), "DIMEQ_MAX_L", DEFAULT_MAX_L),
-        cex_cap=pick(getattr(args, "cex_cap", None), "DIMEQ_CEX_CAP", DEFAULT_CEX_CAP),
-    )
-    if cfg.cex_cap < 0:
-        raise InvalidInputError(f"cex-cap must be >= 0, got {cfg.cex_cap}")
-    return cfg
+def _cex_cap(args: argparse.Namespace) -> int:
+    cap = _knob(args.cex_cap, "DIMEQ_CEX_CAP", DEFAULT_CEX_CAP)
+    if cap < 0:
+        raise InvalidInputError(f"cex-cap must be >= 0, got {cap}")
+    return cap
 
 
 def _dump(payload: object) -> str:
@@ -97,22 +80,15 @@ def _dump(payload: object) -> str:
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _emit(args: argparse.Namespace, payload: object, text: str | None = None) -> None:
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "json":
-        _write(args, _dump(payload))
-    elif fmt == "text":
-        _write(args, text if text is not None else _dump(payload))
-    else:
-        raise InvalidInputError(f"format {fmt!r} not supported for this command")
+def _emit(args: argparse.Namespace, payload: object, text: str) -> None:
+    _write(args, text if args.format == "text" else _dump(payload))
 
 
 def _load_json(path: str) -> object:
@@ -127,21 +103,6 @@ def _load_json(path: str) -> object:
             raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _report_text(report: VerificationReport) -> str:
-    lines = [
-        f"{report.statement}: {'PASSED' if report.passed else 'FAILED'} "
-        f"(space {report.space_size}, params {json.dumps(report.parameters, sort_keys=True)})"
-    ]
-    for cex in report.counterexamples:
-        lines.append("  counterexample " + json.dumps(cex, sort_keys=True))
-    return "\n".join(lines)
-
-
-def _finish_report(args: argparse.Namespace, report: VerificationReport) -> int:
-    _emit(args, report.to_json(), _report_text(report))
-    return 0 if report.passed else 1
-
-
 # -- partition ------------------------------------------------------------------
 
 
@@ -152,8 +113,8 @@ def cmd_partition_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_partition_transpose(args: argparse.Namespace) -> int:
-    p = Partition.parse(args.partition).transpose()
+def cmd_partition_build(args: argparse.Namespace) -> int:
+    p = args.build(args)
     _emit(args, {"partition": list(p.parts), "n": p.n}, str(p))
     return 0
 
@@ -161,18 +122,6 @@ def cmd_partition_transpose(args: argparse.Namespace) -> int:
 def cmd_partition_compare(args: argparse.Namespace) -> int:
     rel = Partition.parse(args.first).compare(Partition.parse(args.second))
     _emit(args, {"relation": rel.value}, rel.value)
-    return 0
-
-
-def cmd_partition_add(args: argparse.Namespace) -> int:
-    p = Partition.parse(args.first) + Partition.parse(args.second)
-    _emit(args, {"partition": list(p.parts), "n": p.n}, str(p))
-    return 0
-
-
-def cmd_partition_from_epsilon(args: argparse.Namespace) -> int:
-    p = partition_from_epsilon(EpsilonVector.parse(args.bits))
-    _emit(args, {"partition": list(p.parts), "n": p.n}, str(p))
     return 0
 
 
@@ -263,19 +212,17 @@ def _solutions_text(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> s
 
 
 def cmd_equation_solve(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     solutions = enumerate_orbit_solutions(
         args.n,
         args.l,
         exclude_trivial=args.exclude_trivial,
         max_one_dominant=args.max_one_dominant,
-        max_n=cfg.max_n,
-        max_l=cfg.max_l,
+        max_n=_knob(args.max_n, "DIMEQ_MAX_N", DEFAULT_MAX_N),
+        max_l=_knob(args.max_l, "DIMEQ_MAX_L", DEFAULT_MAX_L),
     )
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         _write(args, _solutions_csv(args.n, args.l, solutions))
-    elif fmt == "text":
+    elif args.format == "text":
         _write(args, _solutions_text(args.n, args.l, solutions))
     else:
         payload = {
@@ -286,7 +233,7 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
             # a parts tuple dumps as the same JSON array as a list would
             "solutions": [[p.parts for p in sol] for sol in solutions],
         }
-        _emit(args, payload)
+        _write(args, _dump(payload))
     return 0
 
 
@@ -294,16 +241,21 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     v = args.verifier
     mode = {"mode": args.mode} if v.modes else {}
-    report = v.func(*[getattr(args, p) for p in v.params], cex_cap=cfg.cex_cap, **mode)
-    return _finish_report(args, report)
+    report = v.func(*[getattr(args, p) for p in v.params], cex_cap=_cex_cap(args), **mode)
+    lines = [
+        f"{report.statement}: {'PASSED' if report.passed else 'FAILED'} "
+        f"(space {report.space_size}, params {json.dumps(report.parameters, sort_keys=True)})"
+    ]
+    for cex in report.counterexamples:
+        lines.append("  counterexample " + json.dumps(cex, sort_keys=True))
+    _emit(args, report.to_json(), "\n".join(lines))
+    return 0 if report.passed else 1
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    reports = verification_sweep(max_n=args.max_n, cex_cap=cfg.cex_cap)
+    reports = verification_sweep(max_n=args.max_n, cex_cap=_cex_cap(args))
     all_passed = all(r.passed for r in reports)
     payload = {
         "all_passed": all_passed,
@@ -337,21 +289,31 @@ def cmd_vanish(args: argparse.Namespace) -> int:
 
 # -- wiring -------------------------------------------------------------------------
 
-
-def _add_output_flags(p: argparse.ArgumentParser, csv_ok: bool = False) -> None:
-    choices = ["json", "text"] + (["csv"] if csv_ok else [])
-    p.add_argument("--format", choices=choices, default="json")
-    p.add_argument("--out", metavar="FILE", default=None)
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
 
 
-def _add_bound_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-l", type=int, default=None, dest="max_l")
-
-
-def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cex-cap", type=int, default=None, dest="cex_cap")
-    _add_output_flags(p)
+def _leaf(
+    sub: argparse._SubParsersAction,
+    name: str,
+    func: Callable[[argparse.Namespace], int],
+    positionals: tuple[str, ...] = (),
+    flags: dict[str, dict] | None = None,
+    formats: tuple[str, ...] = ("json", "text"),
+    help: str | None = None,
+    **defaults: object,
+) -> None:
+    """One runnable subcommand: positionals, its own flags, --format and --out."""
+    # a help entry, even help=None, would list the command in its group's --help
+    sp = sub.add_parser(name, **({} if help is None else {"help": help}))
+    for positional in positionals:
+        sp.add_argument(positional)
+    for flag, spec in (flags or {}).items():
+        sp.add_argument(flag, **spec)
+    sp.add_argument("--format", choices=formats, default="json")
+    sp.add_argument("--out", metavar="FILE", default=None)
+    sp.set_defaults(func=func, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,92 +323,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # partition
-    p_part = sub.add_parser("partition", help="partition and orbit arithmetic")
-    part_sub = p_part.add_subparsers(dest="action", required=True)
-    sp = part_sub.add_parser("dim", help="orbit and representation dimension")
-    sp.add_argument("partition")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_partition_dim)
-    sp = part_sub.add_parser("transpose", help="conjugate partition")
-    sp.add_argument("partition")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_partition_transpose)
-    sp = part_sub.add_parser("compare", help="dominance comparison")
-    sp.add_argument("first")
-    sp.add_argument("second")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_partition_compare)
-    sp = part_sub.add_parser("add", help="componentwise sum")
-    sp.add_argument("first")
-    sp.add_argument("second")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_partition_add)
-    sp = part_sub.add_parser("from-epsilon", help="orbit attached to a 0/1 pattern")
-    sp.add_argument("bits")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_partition_from_epsilon)
+    def group(name: str, help: str) -> argparse._SubParsersAction:
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    # rep
-    p_rep = sub.add_parser("rep", help="representation descriptors")
-    rep_sub = p_rep.add_subparsers(dest="action", required=True)
-    sp = rep_sub.add_parser("orbit", help="attached orbit of a descriptor file")
-    sp.add_argument("file")
-    sp.add_argument("--n", type=int, default=None)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_rep_orbit)
-    sp = rep_sub.add_parser("dim", help="dimension of a descriptor file")
-    sp.add_argument("file")
-    sp.add_argument("--n", type=int, default=None)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_rep_dim)
+    part = group("partition", "partition and orbit arithmetic")
+    _leaf(part, "dim", cmd_partition_dim, ("partition",),
+          help="orbit and representation dimension")
+    _leaf(part, "transpose", cmd_partition_build, ("partition",),
+          help="conjugate partition",
+          build=lambda a: Partition.parse(a.partition).transpose())
+    _leaf(part, "compare", cmd_partition_compare, ("first", "second"),
+          help="dominance comparison")
+    _leaf(part, "add", cmd_partition_build, ("first", "second"),
+          help="componentwise sum",
+          build=lambda a: Partition.parse(a.first) + Partition.parse(a.second))
+    _leaf(part, "from-epsilon", cmd_partition_build, ("bits",),
+          help="orbit attached to a 0/1 pattern",
+          build=lambda a: partition_from_epsilon(EpsilonVector.parse(a.bits)))
 
-    # equation
-    p_eq = sub.add_parser("equation", help="dimension equation tools")
-    eq_sub = p_eq.add_subparsers(dest="action", required=True)
-    sp = eq_sub.add_parser("check", help="check sum of dims == n(n-1)/2")
-    sp.add_argument("file")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_equation_check, check=check_dim_equation)
-    sp = eq_sub.add_parser("check-full", help="check sum of dims == n^2-1")
-    sp.add_argument("file")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_equation_check, check=check_dim_equation_full)
-    sp = eq_sub.add_parser("reduce", help="generic/minimal dims and the target")
-    sp.add_argument("--n", type=int, required=True)
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_equation_reduce)
-    sp = eq_sub.add_parser("solve", help="enumerate orbit multisets meeting the target")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--exclude-trivial", action="store_true", dest="exclude_trivial")
-    sp.add_argument("--max-one-dominant", action="store_true", dest="max_one_dominant")
-    _add_bound_flags(sp)
-    _add_output_flags(sp, csv_ok=True)
-    sp.set_defaults(func=cmd_equation_solve)
+    rep = group("rep", "representation descriptors")
+    _leaf(rep, "orbit", cmd_rep_orbit, ("file",), {"--n": _INT},
+          help="attached orbit of a descriptor file")
+    _leaf(rep, "dim", cmd_rep_dim, ("file",), {"--n": _INT},
+          help="dimension of a descriptor file")
 
-    # verify
-    p_ver = sub.add_parser("verify", help="exhaustive desk-scale verifiers")
-    ver_sub = p_ver.add_subparsers(dest="action", required=True)
+    eq = group("equation", "dimension equation tools")
+    _leaf(eq, "check", cmd_equation_check, ("file",),
+          help="check sum of dims == n(n-1)/2", check=check_dim_equation)
+    _leaf(eq, "check-full", cmd_equation_check, ("file",),
+          help="check sum of dims == n^2-1", check=check_dim_equation_full)
+    _leaf(eq, "reduce", cmd_equation_reduce, flags={"--n": _REQUIRED_INT},
+          help="generic/minimal dims and the target")
+    _leaf(eq, "solve", cmd_equation_solve,
+          flags={"--n": _REQUIRED_INT, "--l": _REQUIRED_INT, "--exclude-trivial": _SWITCH,
+                 "--max-one-dominant": _SWITCH, "--max-n": _INT, "--max-l": _INT},
+          formats=("json", "text", "csv"),
+          help="enumerate orbit multisets meeting the target")
+
+    ver = group("verify", "exhaustive desk-scale verifiers")
     for name, v in VERIFIERS.items():
-        sp = ver_sub.add_parser(name)
-        for param in v.params:
-            sp.add_argument(f"--{param}", type=int, required=True)
+        flags = {f"--{param}": _REQUIRED_INT for param in v.params}
         if v.modes:
-            sp.add_argument("--mode", choices=v.modes, default=v.modes[0])
-        _add_verify_flags(sp)
-        sp.set_defaults(func=cmd_verify, verifier=v)
-    sp = ver_sub.add_parser("all", help="every verifier over its full range")
-    sp.add_argument("--max-n", type=int, default=None, dest="max_n")
-    _add_verify_flags(sp)
-    sp.set_defaults(func=cmd_verify_all)
+            flags["--mode"] = {"choices": v.modes, "default": v.modes[0]}
+        _leaf(ver, name, cmd_verify, flags={**flags, "--cex-cap": _INT}, verifier=v)
+    _leaf(ver, "all", cmd_verify_all, flags={"--max-n": _INT, "--cex-cap": _INT},
+          help="every verifier over its full range")
 
-    # vanish
-    sp = sub.add_parser("vanish", help="verdict for an integral specification")
-    sp.add_argument("file")
-    sp.add_argument("--expect-vanish", action="store_true", dest="expect_vanish")
-    _add_output_flags(sp)
-    sp.set_defaults(func=cmd_vanish)
+    _leaf(sub, "vanish", cmd_vanish, ("file",), {"--expect-vanish": _SWITCH},
+          help="verdict for an integral specification")
 
     return parser
 

@@ -16,6 +16,8 @@ concrete integral specification and says what they imply about it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -97,6 +99,37 @@ def _finish(
 # -- pairwise orbit-size lower bound (rectangular orbits) ----------------------
 
 
+def _pair_sweep(
+    orbits: list[Partition], floor: Partition, bound: int, key: str
+) -> tuple[int, list[dict]]:
+    """Every pair i <= j of orbits has rep dims summing past bound, and every
+    orbit dominates floor; returns (space, violations).
+
+    Aggregated: all pairs pass when twice the smallest rep dim exceeds the
+    bound, and they are visited one by one only when it does not.
+    """
+    k = len(orbits)
+    dims = [p.rep_dim() for p in orbits]
+    violations: list[dict] = []
+    if 2 * min(dims) <= bound:
+        for i in range(k):
+            for j in range(i, k):
+                s = dims[i] + dims[j]
+                if s <= bound:
+                    violations.append(
+                        {
+                            "first": list(orbits[i].parts),
+                            "second": list(orbits[j].parts),
+                            "rep_dim_sum": s,
+                            "must_exceed": bound,
+                        }
+                    )
+    for p in orbits:
+        if not p.dominates(floor):
+            violations.append({key: list(p.parts), "fails_to_dominate": list(floor.parts)})
+    return k * (k + 1) // 2 + k, violations
+
+
 def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """Any two rectangular orbits (p^q), p >= 2, have rep dims summing past
     n(n-1)/2, so no pair of Speh-type representations can satisfy the
@@ -112,27 +145,7 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     ]
     floor = dominance_floor(n)
     bound = n * (n - 1) // 2
-    space = 0
-    violations: list[dict] = []
-    for i in range(len(rects)):
-        for j in range(i, len(rects)):
-            space += 1
-            s = rects[i].rep_dim() + rects[j].rep_dim()
-            if s <= bound:
-                violations.append(
-                    {
-                        "first": list(rects[i].parts),
-                        "second": list(rects[j].parts),
-                        "rep_dim_sum": s,
-                        "must_exceed": bound,
-                    }
-                )
-    for r in rects:
-        space += 1
-        if not r.dominates(floor):
-            violations.append(
-                {"rectangle": list(r.parts), "fails_to_dominate": list(floor.parts)}
-            )
+    space, violations = _pair_sweep(rects, floor, bound, "rectangle")
     space += 1
     if floor.orbit_dim() <= bound:
         violations.append(
@@ -181,41 +194,25 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """
     if n < 2:
         raise InvalidInputError(f"verify_lemma2 needs n >= 2, got {n}")
-    parts = list(enumerate_partitions(n))
-    nontrivial = [p for p in parts if not p.is_trivial_orbit()]
-    odim = {p: p.orbit_dim() for p in parts}
+    lams = sorted(
+        (p for p in enumerate_partitions(n) if not p.is_trivial_orbit()),
+        key=lambda p: p.length,
+    )
+    odims = [p.orbit_dim() for p in lams]
+    lengths = [p.length for p in lams]
+    prefix_min = list(itertools.accumulate(odims, min))
     bound = n * n - n
-
-    # lam pools keyed by the length bound, cumulative in L.
-    by_len: dict[int, list[Partition]] = {}
-    for p in nontrivial:
-        by_len.setdefault(p.length, []).append(p)
-    pool: list[list[Partition]] = [[] for _ in range(n + 1)]
-    min_odim = [None] * (n + 1)
-    count = [0] * (n + 1)
-    running: list[Partition] = []
-    best: int | None = None
-    for L in range(1, n + 1):
-        for p in by_len.get(L, ()):
-            running.append(p)
-            if best is None or odim[p] < best:
-                best = odim[p]
-        pool[L] = list(running)
-        min_odim[L] = best
-        count[L] = len(running)
 
     space = 0
     violations: list[dict] = []
-    for mu in nontrivial:
-        m1 = mu.transpose().parts[0]
-        L = n - m1 + 1
-        space += count[L]
-        if min_odim[L] is None:
+    for mu, mu_dim in zip(lams, odims):
+        # lams[:k] have at most n - len(mu) + 1 parts; (n) is one, so k >= 1
+        k = bisect.bisect_right(lengths, n - mu.length + 1)
+        space += k
+        if mu_dim + prefix_min[k - 1] > bound:
             continue
-        if odim[mu] + min_odim[L] > bound:
-            continue
-        for lam in pool[L]:
-            s = odim[mu] + odim[lam]
+        for lam, lam_dim in zip(lams[:k], odims):
+            s = mu_dim + lam_dim
             if s <= bound:
                 violations.append(
                     {
@@ -422,30 +419,7 @@ def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     if n < 2:
         raise InvalidInputError(f"verify_prop3 needs n >= 2, got {n}")
     lams = list(enumerate_partitions(n, max_length=n // 2))
-    floor = dominance_floor(n)
-    bound = n * (n - 1) // 2
-    space = 0
-    violations: list[dict] = []
-    dims = {p: p.rep_dim() for p in lams}
-    for i in range(len(lams)):
-        for j in range(i, len(lams)):
-            space += 1
-            s = dims[lams[i]] + dims[lams[j]]
-            if s <= bound:
-                violations.append(
-                    {
-                        "first": list(lams[i].parts),
-                        "second": list(lams[j].parts),
-                        "rep_dim_sum": s,
-                        "must_exceed": bound,
-                    }
-                )
-    for lam in lams:
-        space += 1
-        if not lam.dominates(floor):
-            violations.append(
-                {"orbit": list(lam.parts), "fails_to_dominate": list(floor.parts)}
-            )
+    space, violations = _pair_sweep(lams, dominance_floor(n), n * (n - 1) // 2, "orbit")
     return _finish(
         "prop3", {"n": n, "orbits": len(lams)}, space, violations, cex_cap
     )

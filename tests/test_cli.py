@@ -551,6 +551,23 @@ class TestPlumbing:
     def test_unknown_command_is_exit_2(self, capsys):
         assert run_cli(capsys, "conjecture")[0] == 2
 
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("DIMEQ_MAX_N", "abc", ("verify", "lemma1", "--n", "5")),
+            ("DIMEQ_CEX_CAP", "-1", ("equation", "solve", "--n", "4", "--l", "2")),
+            ("DIMEQ_MAX_L", "x", ("verify", "all", "--max-n", "3")),
+        ],
+    )
+    def test_env_of_a_knob_the_command_lacks_is_ignored(
+        self, capsys, monkeypatch, name, value, argv
+    ):
+        _, base, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv(name, value)
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert out == base and base != ""
+
     def test_csv_rejected_outside_solve(self, capsys):
         rc, _, _ = run_cli(capsys, "partition", "dim", "[3,3]", "--format", "csv")
         assert rc == 2

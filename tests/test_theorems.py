@@ -32,6 +32,7 @@ from dimeq import (
     Vanishes,
     check_corollary1,
     dim_rep,
+    dominance_floor,
     enumerate_partitions,
     epsilon_preimage,
     lemma2_I,
@@ -50,7 +51,7 @@ from dimeq import (
     verify_prop4,
     verify_prop5,
 )
-from dimeq.theorems import VERIFIERS, _finish, verification_sweep
+from dimeq.theorems import VERIFIERS, _finish, _pair_sweep, verification_sweep
 
 T = TrivialConstituent
 
@@ -239,6 +240,53 @@ class TestVerifyProp3:
         dims = [p.rep_dim() for p in enumerate_partitions(6, max_length=3)]
         assert 2 * min(dims) == 18 > 15
         assert r.passed
+
+
+def pair_sweep_oracle(orbits, floor, bound, key):
+    """_pair_sweep's (space, violations), visiting every pair."""
+    space, violations = 0, []
+    for i, first in enumerate(orbits):
+        for second in orbits[i:]:
+            space += 1
+            s = first.rep_dim() + second.rep_dim()
+            if s <= bound:
+                violations.append(
+                    {
+                        "first": list(first.parts),
+                        "second": list(second.parts),
+                        "rep_dim_sum": s,
+                        "must_exceed": bound,
+                    }
+                )
+    for p in orbits:
+        space += 1
+        if not p.dominates(floor):
+            violations.append({key: list(p.parts), "fails_to_dominate": list(floor.parts)})
+    return space, violations
+
+
+class TestPairSweep:
+    """The aggregated sweep behind lemma1 and prop3, on bounds that some
+    pairs do not clear, against the pair-by-pair oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("family", ["rectangle", "orbit"])
+    def test_matches_oracle(self, n, family):
+        if family == "rectangle":
+            orbits = [Partition((p,) * (n // p)) for p in range(n, 1, -1) if n % p == 0]
+        else:
+            orbits = list(enumerate_partitions(n, max_length=n // 2))
+        dims = [p.rep_dim() for p in orbits]
+        lo, hi = 2 * min(dims), 2 * max(dims)
+        key = lambda d: json.dumps(d, sort_keys=True)
+        for floor in (dominance_floor(n), Partition((n,))):
+            for bound in sorted({lo - 1, lo, lo + 1, (lo + hi) // 2, hi, n * (n - 1) // 2}):
+                space, got = _pair_sweep(orbits, floor, bound, family)
+                want_space, want = pair_sweep_oracle(orbits, floor, bound, family)
+                assert space == want_space
+                assert sorted(got, key=key) == sorted(want, key=key)
+                # at bound 2 * min the smallest orbit paired with itself fails
+                assert (bound >= lo) == any("rep_dim_sum" in v for v in got)
 
 
 class TestResidualBound:

@@ -633,10 +633,13 @@ USAGE_SHA256 = {
 }
 
 
-@pytest.mark.skipif(
+argparse_310_to_312 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or not (3, 10) <= sys.version_info[:2] <= (3, 12),
     reason="argparse wraps usage lines differently outside CPython 3.10-3.12",
 )
+
+
+@argparse_310_to_312
 class TestUsageBytes:
     @pytest.mark.parametrize("argv", list(USAGE_SHA256))
     def test_usage_and_help_bytes(self, capsys, monkeypatch, argv):
@@ -644,3 +647,84 @@ class TestUsageBytes:
         rc, out, err = run_cli(capsys, *argv.split())
         dumped = json.dumps([rc, out, err]).encode()
         assert hashlib.sha256(dumped).hexdigest() == USAGE_SHA256[argv]
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for `dimeq ARGV` at
+# COLUMNS=80, with SPEC a spec file holding MINIMAL_TRIPLE_6 and REP a Speh
+# descriptor of rank 6: the error paths argparse takes (missing, unknown,
+# abbreviated and ambiguous flags, bad choices, extra positionals, --help after
+# an action, `--`, `--flag=value`) and successful runs of every group in each
+# of its formats.
+RUN_SHA256 = {
+    "": "f050f7e4a85a363a1938863c224eaac3cdc3ac8b303b2ac3268d7dd261334128",
+    "-h": "e60b8709c3d4fa38eb14dc2c7aaa83a3fd326a9abc84f4cbee0fff6c0f5220d3",
+    "bogus": "9b66499f127575abe0cce2eb252d52e4e035afe5b7aa54d73f1ad8df5f0730ae",
+    "--bogus": "f050f7e4a85a363a1938863c224eaac3cdc3ac8b303b2ac3268d7dd261334128",
+    "--version": "f050f7e4a85a363a1938863c224eaac3cdc3ac8b303b2ac3268d7dd261334128",
+    "partition nope": "254884dc7901d7867a8b61f4eb5b9b29e8fd350146bb4ea609679b77b9cc9a70",
+    "partition dim": "1b36a9e6283485ad0b72a4ffba57e8c11152467933dad71c97cc72bf1b530b95",
+    "partition dim [3,3] extra": "ef485c306fb0adc9120cd16f4372b51d04962d43fa37eb761b181842fea42f48",
+    "partition --bogus": "e2c2d289fc76020bad21e398574ba2e2865116e42313c22d28920e16d79d40bd",
+    "partition dim -- -3": "1b2cb46e4778891ecf29467efabf5f10ddbeeebe2c52eec37a04f3ceb20ed34a",
+    "partition dim [3,3] --format csv": "6ab9b9f875779904ba540898f24507cb93c3fc1044de0310fd043e07c5d39c0d",
+    "partition dim [3,3] --out": "e283aa6a755430c2896b5d2ba2e3e1d06a0553c849029889f8f1e450ef866c9e",
+    "partition dim [3,3]": "ad6ff9bba6046e895d257c04d55a0e7c4d830b87b42326ab32ea2500f59e2d32",
+    "partition dim --format=text [3,3]": "38d5a33742038097c75ef796f4ec57cc95fdf5cc338b917ea312cda5f59e7210",
+    "partition transpose [3,2,2,1] --format text": "7aa839ce544edbfb66fcfd7dd892105c5021c15803ec6455a74f2bbb023bb8c7",
+    "partition compare [3,3] [4,1,1]": "31f7fef9f96fa770a7e43bd72c44cd4e4b7c6428c35a7b2c9e263c452f6d74cf",
+    "partition add [2,1] [1,1] --format text": "31d04d9346f55f1df09c29c8f524347db9e372f271fd27ac23c543b00650e993",
+    "partition from-epsilon 10101": "040013c00df1b553292485721420a7d464b1be1eab5c1b509c345dfc5237e686",
+    "partition dim [3,x]": "688f8d4cd1122866a1808a142e2dd0933fc0c4ba6b6831c999c30ddac66ab999",
+    "rep orbit REP --n 6": "f88b1e3164eaf31f6a644ae2d1f36349454ae4afa75552ec890a51bbd608c6b9",
+    "rep orbit REP --n=6 --format text": "79cc8f82d7a36960f319583909a74282586123a2afcb2dacb6310148ee0625b4",
+    "rep dim REP": "6c204ccc8f57bde0d25f442b034faa940fe5d648bd5d724dc05caadc56d7e844",
+    "rep orbit": "a04f0130dea3e725a2671783df14f4ed1eba51efd6605ddfca09714ddb520093",
+    "rep orbit REP --n six": "7ec2afcdac9b87433832ff11b4167a1e4f7807f674a0aac5e59b49d3101ab283",
+    "equation solve --n 4": "268e92e5d2904a5d77a1c467f53b0d11c3568503b44e063f56bfcbc6bb721aa9",
+    "equation solve --n 4 --l 2 --bogus": "2ee1aeb91ba7b482a272065aabde4b037226f165aa3080d72b6b6898e8545cc1",
+    "equation solve --n 4 --l 2 --exclude": "95ca239361b5a68320f1c4922cbf229e13bb91c8dc74a47aea704344bee9536b",
+    "equation solve --n 4 --l 2 --max": "49dd3499cc36bf2c6aa8674942c17abf7a70f6d5509e7f7c0019af5e949873f9",
+    "equation solve --n=4 --l=2": "0a667af9b214d0e3f199b00d29e04ba5b07b758d1533103f4ef585652b737477",
+    "equation solve --n 4 --l 2 --format text": "ac4078f6fd09c28e19aef49781cdf86a9559c0cb9bcd1a1222b25c9d17127575",
+    "equation solve --n 4 --l 2 --format csv": "1a9d3ce0f4e72867dea5e0dd81318d12bd283e3ee760f22aaef16a030e38c893",
+    "equation solve --n 4 --l x": "43f4375dd7c429daef33a45064397f9896d268a89d0be4afd3eaca865d0e84a9",
+    "equation solve --help --n 4": "26aa89b8376de278d46525679c4fdb08e39a4accceadf75635a2ec2060b8f5f2",
+    "equation --help solve": "e844d9d6ed353a1bbbaeea5256e7d4dd540f8f67f389b2aa2e21ad646ab32b11",
+    "--help equation": "e60b8709c3d4fa38eb14dc2c7aaa83a3fd326a9abc84f4cbee0fff6c0f5220d3",
+    "equation check SPEC": "7f46b2970637c50a0eaf38b6f7dece5eef016cb9a7f9f59a35230b4d4f13936d",
+    "equation check-full SPEC --format text": "4a51274f49bbe59b8ed2d4272ea7fb90667cccaa27a670f0c11bbfc3bd7ebf12",
+    "equation reduce --n 6 --format text": "59242dc563501b8dfb81fa9f269c5006113e5d2e90a874ad7fd5088579616237",
+    "equation reduce": "48f890eb300814539cf8a1c06f23eea758d0b3f74d825755ea73eec51252f946",
+    "equation solve --n 4 --l 2 --n 5": "21514e1b9be2738486a02e88b9101cc16ea75e95c796357a65958f40312015f6",
+    "equation solve --n 40 --l 2": "34c003005e0b304750538e0dd141de0b6f277817d70d1cda6c25ae83ba760531",
+    "verify prop4 --n 6 --l 3 --mode bad": "d9fa1feb002c056913cd6ce1a9bf00df168db5bd1ab214d2437d9917e51d8410",
+    "verify lemma --n 5": "0ed0b9ad7d566cbc11b643d474413d6a4b95b7421ed6f5d8b3da9bfee440a60b",
+    "verify lemma1 --n 5": "6becedfa2508f6cbfe95137e9564ae1405f30a61dfafc49a5fa2184eae424746",
+    "verify lemma1 --n 5 --format text": "2204ae8efeaa475613d9e5afb5ff6b6dff423e19d9862454a524a1deaf3a42dd",
+    "verify prop4 --n 6 --l 3 --mode strict": "f14301846be0c6a586965927ff66ab332bdb2ab993796e41712aa28860030c52",
+    "verify prop5 --n 8 --q 2 --l 3": "4f3df173ccdefd9b0cf7b8f610e3da5957b5576a0bfcd0045a1af27e0e5031f6",
+    "verify epsilon-orbit --n 6 --p 2 --q 3 --format text": "4c2105a1be44d5499046b3aa02d3848d4632d8aace61ef7fc74c7f7d9f795175",
+    "verify all --max-n 3": "6b070c83735904e9e73a0bec0d3aaa4ed99bdf7352fa1201d14eb5daf3146daf",
+    "verify all --max-n 3 --format text": "f7590c2ada5e62bdd16f2644c41e43b825ecf2c51d35404649831a5399f1df39",
+    "verify lemma1": "10aa2d974ec0cf313c4361d341d80d2bc3632310d5885ec318d4cc62b82973e3",
+    "verify lemma1 --n 5 --mode paper": "87674ef9b72d44f6b398b50a0b58323d867f4916752582db2dd3f76854fe05ed",
+    "vanish SPEC": "5b1c21cbcb7cb325a685cfaeed3ad6d533d28689abc88ea1fbff60b56cd511bf",
+    "vanish SPEC --format text": "bc9199e70992ab94593600f69287dfec5e4c36b000dc418be0981797af018574",
+    "vanish --exp SPEC": "5b1c21cbcb7cb325a685cfaeed3ad6d533d28689abc88ea1fbff60b56cd511bf",
+    "vanish": "ba6f2aaf11890a6ad49ef7ddf310b77103f2d999bad9098109348cee1618b4e1",
+    "vanish SPEC --format csv": "c822be5d12130ecc05379e33a7717b71ffe43e5d2b617cbd63b1624be2c83ce8",
+}
+
+
+@argparse_310_to_312
+class TestRunBytes:
+    @pytest.mark.parametrize("argv", list(RUN_SHA256))
+    def test_error_path_and_run_bytes(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        files = {
+            "SPEC": write_spec(tmp_path, "spec.json", MINIMAL_TRIPLE_6),
+            "REP": write_spec(tmp_path, "rep.json", {"kind": "speh", "p": 2, "q": 3}),
+        }
+        rc, out, err = run_cli(capsys, *[files.get(w, w) for w in argv.split()])
+        dumped = json.dumps([rc, out, err]).encode()
+        assert hashlib.sha256(dumped).hexdigest() == RUN_SHA256[argv]

@@ -294,6 +294,25 @@ _REQUIRED_INT = {"type": int, "required": True}
 _SWITCH = {"action": "store_true"}
 
 
+class _LazyParser(argparse.ArgumentParser):
+    """A parser whose arguments are added by `fill` when it first parses.
+
+    argparse parses only the root and the subparsers it dispatches to, so the
+    groups and leaves of every other command keep just the name and help their
+    parent lists: one run pays for one group and one leaf, not for all 20.
+    """
+
+    def __init__(self, *args, fill: Callable[..., None] | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _leaf(
     sub: argparse._SubParsersAction,
     name: str,
@@ -305,28 +324,22 @@ def _leaf(
     **defaults: object,
 ) -> None:
     """One runnable subcommand: positionals, its own flags, --format and --out."""
+
+    def fill(sp: argparse.ArgumentParser) -> None:
+        for positional in positionals:
+            sp.add_argument(positional)
+        for flag, spec in (flags or {}).items():
+            sp.add_argument(flag, **spec)
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.add_argument("--out", metavar="FILE", default=None)
+        sp.set_defaults(func=func, **defaults)
+
     # a help entry, even help=None, would list the command in its group's --help
-    sp = sub.add_parser(name, **({} if help is None else {"help": help}))
-    for positional in positionals:
-        sp.add_argument(positional)
-    for flag, spec in (flags or {}).items():
-        sp.add_argument(flag, **spec)
-    sp.add_argument("--format", choices=formats, default="json")
-    sp.add_argument("--out", metavar="FILE", default=None)
-    sp.set_defaults(func=func, **defaults)
+    sub.add_parser(name, fill=fill, **({} if help is None else {"help": help}))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dimeq",
-        description="Exact orbit-dimension bookkeeping for global integrals on GL_n.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name: str, help: str) -> argparse._SubParsersAction:
-        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
-
-    part = group("partition", "partition and orbit arithmetic")
+def _partition_leaves(g: argparse.ArgumentParser) -> None:
+    part = g.add_subparsers(dest="action", required=True)
     _leaf(part, "dim", cmd_partition_dim, ("partition",),
           help="orbit and representation dimension")
     _leaf(part, "transpose", cmd_partition_build, ("partition",),
@@ -341,13 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
           help="orbit attached to a 0/1 pattern",
           build=lambda a: partition_from_epsilon(EpsilonVector.parse(a.bits)))
 
-    rep = group("rep", "representation descriptors")
+
+def _rep_leaves(g: argparse.ArgumentParser) -> None:
+    rep = g.add_subparsers(dest="action", required=True)
     _leaf(rep, "orbit", cmd_rep_orbit, ("file",), {"--n": _INT},
           help="attached orbit of a descriptor file")
     _leaf(rep, "dim", cmd_rep_dim, ("file",), {"--n": _INT},
           help="dimension of a descriptor file")
 
-    eq = group("equation", "dimension equation tools")
+
+def _equation_leaves(g: argparse.ArgumentParser) -> None:
+    eq = g.add_subparsers(dest="action", required=True)
     _leaf(eq, "check", cmd_equation_check, ("file",),
           help="check sum of dims == n(n-1)/2", check=check_dim_equation)
     _leaf(eq, "check-full", cmd_equation_check, ("file",),
@@ -360,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
           formats=("json", "text", "csv"),
           help="enumerate orbit multisets meeting the target")
 
-    ver = group("verify", "exhaustive desk-scale verifiers")
+
+def _verify_leaves(g: argparse.ArgumentParser) -> None:
+    ver = g.add_subparsers(dest="action", required=True)
     for name, v in VERIFIERS.items():
         flags = {f"--{param}": _REQUIRED_INT for param in v.params}
         if v.modes:
@@ -369,9 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(ver, "all", cmd_verify_all, flags={"--max-n": _INT, "--cex-cap": _INT},
           help="every verifier over its full range")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _LazyParser(
+        prog="dimeq",
+        description="Exact orbit-dimension bookkeeping for global integrals on GL_n.",
+    )
+    # every subparser below inherits the root's class, _LazyParser
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("partition", help="partition and orbit arithmetic", fill=_partition_leaves)
+    sub.add_parser("rep", help="representation descriptors", fill=_rep_leaves)
+    sub.add_parser("equation", help="dimension equation tools", fill=_equation_leaves)
+    sub.add_parser("verify", help="exhaustive desk-scale verifiers", fill=_verify_leaves)
     _leaf(sub, "vanish", cmd_vanish, ("file",), {"--expect-vanish": _SWITCH},
           help="verdict for an integral specification")
-
     return parser
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: bytes, exit codes, files, environment knobs."""
 
+import argparse
 import hashlib
 import json
 import sys
@@ -595,6 +596,41 @@ class TestPlumbing:
         rc = cli.main()
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["target"] == 3
+
+
+@pytest.fixture
+def added_to(monkeypatch):
+    """The container of each add_argument call made while the test runs."""
+    containers = []
+    original = argparse._ActionsContainer.add_argument
+
+    def recording(self, *args, **kwargs):
+        containers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+    return containers
+
+
+class TestStartup:
+    # A run adds -h to the root, its 5 entries and the chosen group's entries,
+    # plus the chosen leaf's own arguments: 18 for `equation solve`, 14 for
+    # `partition dim`. Building every group and leaf takes 109.
+    @pytest.mark.parametrize(
+        "argv", [("equation", "solve", "--n", "4", "--l", "2"), ("partition", "dim", "[3,3]")]
+    )
+    def test_a_run_adds_only_the_dispatched_arguments(self, capsys, added_to, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(added_to) <= 25
+
+    def test_each_run_builds_its_own_parser(self, capsys, added_to):
+        argv = ("equation", "solve", "--n", "4", "--l", "2")
+        assert run_cli(capsys, *argv)[0] == 0
+        first = added_to[:]
+        added_to.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(added_to) == len(first) > 0
+        assert not any(a is b for a in first for b in added_to)
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) for `dimeq ARGV` at

@@ -298,9 +298,8 @@ class _LazyParser(argparse.ArgumentParser):
     """A parser whose arguments are added by `fill` when it first parses.
 
     argparse parses only the root and the subparsers it dispatches to, so the
-    groups and leaves of every other command keep just the name and help their
-    parent lists: one run pays for one group and one leaf, not for all 20.
-    """
+    groups and leaves of other commands stay empty but for the name and help
+    their parent lists: a run pays for one group and one leaf, not all 20."""
 
     def __init__(self, *args, fill: Callable[..., None] | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -383,7 +383,8 @@ def _verify_leaves(g: argparse.ArgumentParser) -> None:
         flags = {f"--{param}": _REQUIRED_INT for param in v.params}
         if v.modes:
             flags["--mode"] = {"choices": v.modes, "default": v.modes[0]}
-        _leaf(ver, name, cmd_verify, flags={**flags, "--cex-cap": _INT}, verifier=v)
+        _leaf(ver, name, cmd_verify, flags={**flags, "--cex-cap": _INT}, help=v.help,
+              verifier=v)
     _leaf(ver, "all", cmd_verify_all, flags={"--max-n": _INT, "--cex-cap": _INT},
           help="every verifier over its full range")
 

@@ -711,15 +711,17 @@ class Verifier(NamedTuple):
     """How `dimeq verify` calls one verify_* function, and what `verify all`
     sweeps with it.
 
-    params are its integer arguments in call order, one --flag each; modes,
-    when given, are the choices of its mode argument, the first the default.
-    `verify all` calls it, in the default mode, on every argument tuple of
-    cases(n) for each n in the inclusive n_range.
+    params are its integer arguments in call order, one --flag each; help is
+    the line `dimeq verify --help` shows for it; modes, when given, are the
+    choices of its mode argument, the first the default.  `verify all` calls
+    it, in the default mode, on every argument tuple of cases(n) for each n in
+    the inclusive n_range.
     """
 
     func: Callable[..., VerificationReport]
     params: tuple[str, ...]
     n_range: tuple[int, int]
+    help: str
     cases: Callable[[int], Iterable[tuple[int, ...]]] = lambda n: ((n,),)
     modes: tuple[str, ...] = ()
 
@@ -727,22 +729,29 @@ class Verifier(NamedTuple):
 # Keyed by the `dimeq verify` command.  Table order is the order of the
 # `verify all` reports, so reordering it changes that output's bytes.
 VERIFIERS: dict[str, Verifier] = {
-    "lemma2": Verifier(verify_lemma2, ("n",), (2, 25)),
-    "lemma2-reduction": Verifier(verify_lemma2_reduction, ("n",), (2, 16)),
-    "lemma1": Verifier(verify_lemma1, ("n",), (2, 60)),
-    "prop3": Verifier(verify_prop3, ("n",), (4, 16)),
+    "lemma2": Verifier(verify_lemma2, ("n",), (2, 25),
+                       "nontrivial orbit pairs of bounded length pass n^2-n"),
+    "lemma2-reduction": Verifier(verify_lemma2_reduction, ("n",), (2, 16),
+                                 "the near-rectangular cases that lemma2 reduces to"),
+    "lemma1": Verifier(verify_lemma1, ("n",), (2, 60),
+                       "two rectangles (p^q), p >= 2, overflow n(n-1)/2"),
+    "prop3": Verifier(verify_prop3, ("n",), (4, 16),
+                      "two orbits of length <= n/2 overflow n(n-1)/2"),
     "prop4": Verifier(
         verify_prop4, ("n", "l"), (4, 40),
+        "l trivial blocks within the budget sum to >= n(l-1)+2",
         lambda n: [(n, l) for l in range(3, 7)],
         modes=("paper", "strict"),
     ),
     "prop5": Verifier(
         verify_prop5, ("n", "q", "l"), (4, 40),
+        "blocks beside (p^q) leave a residual >= n-q+1",
         lambda n: [(n, q, l) for q in range(2, n // 2 + 1) if n % q == 0
                    for l in range(3, 7)],
     ),
     "epsilon-orbit": Verifier(
         verify_epsilon_orbit_claim, ("n", "p", "q"), (2, 14),
+        "patterns with >= n-q+1 ones attach no orbit <= (p^q)",
         lambda n: [(n, p, n // p) for p in range(2, n + 1) if n % p == 0],
     ),
 }

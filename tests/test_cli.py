@@ -641,7 +641,7 @@ USAGE_SHA256 = {
     "partition --help": "3e1ab95b56b3199a431582202b5d107697e56bbdcfb3e1708293cf0043f95f65",
     "rep --help": "9af81ce2b56525b107774c8fdf1772338787ed7d532cbd4ca82d0a436f1e8c5d",
     "equation --help": "e844d9d6ed353a1bbbaeea5256e7d4dd540f8f67f389b2aa2e21ad646ab32b11",
-    "verify --help": "21afdac8b988b444e20784dc59b0885cf10c1d6c6bc653b2fb1169c96293aee3",
+    "verify --help": "4290c1fd002bc84c17111e5eeacbe0956203463fa567d475ca78993d9aec2a0d",
     "partition dim --help": "5ed8e6443c442f0f0257378d833e8e94b646670a56eb3e7bc8bce91a88f07028",
     "partition transpose --help": "6cab77cd95018f7680e408976ef7fc05eb4fabd24151f6dd514a5c2c9cf876e9",
     "partition compare --help": "c21b711bd0b036e7f60fd03298e529571ce6727c6617aeafef84d86e5db5223b",

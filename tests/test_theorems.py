@@ -173,6 +173,12 @@ class TestReductionCases:
         with pytest.raises(InvalidInputError):
             Lemma2Case(a=2, p1=2, p2=0, partition=Partition((2, 1, 1)))
 
+    def test_bad_shape_is_reported_first(self):
+        with pytest.raises(
+            InvalidInputError, match=r"^bad case shape a=1, p1=0, p2=-1$"
+        ):
+            Lemma2Case(a=1, p1=0, p2=-1, partition=Partition((3,)))
+
 
 class TestVerifyReduction:
     def test_passes_through_16(self):
@@ -310,6 +316,20 @@ class TestResidualBound:
         with pytest.raises(InvalidInputError):
             residual_bound(1, (1,))
 
+    @pytest.mark.parametrize(
+        "n,blocks,message",
+        [
+            # with several faults, the first check in this order reports
+            (1, (), "residual_bound needs at least one block"),
+            (1, (5,), "residual_bound needs n >= 2, got 1"),
+            (5, (0, 9), "block 0 outside [1, 4]"),
+            (5, (4, 9, 0), "block 9 outside [1, 4]"),
+        ],
+    )
+    def test_first_fault_names_itself(self, n, blocks, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            residual_bound(n, blocks)
+
 
 class TestCorollary1:
     def test_frozen(self):
@@ -328,6 +348,22 @@ class TestCorollary1:
             check_corollary1(5, 3, (4, 4))
         with pytest.raises(InvalidInputError):
             check_corollary1(5, 2, (5, 4))
+
+    @pytest.mark.parametrize(
+        "n,l,blocks,message",
+        [
+            # with several faults, the first check in this order reports:
+            # l, then the block count, then n, then each block in turn
+            (1, 1, (0,), "check_corollary1 needs l >= 2, got 1"),
+            (5, 2, (9, 9, 9), "expected 2 blocks, got 3"),
+            (1, 3, (9, 9), "expected 3 blocks, got 2"),
+            (1, 2, (0, 0), "check_corollary1 needs n >= 2, got 1"),
+            (5, 2, (9, 0), "block 9 outside [1, 4]"),
+        ],
+    )
+    def test_first_fault_names_itself(self, n, l, blocks, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            check_corollary1(n, l, blocks)
 
 
 # -- brute-force oracles: every tuple or pattern, feasible or not ---------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 from .errors import InternalError, InvalidInputError, echo
 
@@ -404,43 +405,35 @@ def dominance_floor(n: int) -> Partition:
     return Partition.from_runs([(2, n // 2)] + [(1, 1)] * (n % 2))
 
 
+@dataclass(frozen=True, repr=False)
 class EpsilonVector:
     """A 0/1 pattern on the n-1 superdiagonal positions of a degenerate character.
 
     bits[i] == 1 means position i+1 (1-indexed) carries a nonzero entry.
+    n must be an int and each bit the int 0 or 1, not a bool or a float.
     """
 
-    __slots__ = ("_n", "_bits")
+    n: int
+    bits: tuple[int, ...]
 
-    def __init__(self, n: int, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
-        if n < 2:
-            raise InvalidInputError(f"epsilon vectors need n >= 2, got {n}")
-        if len(bits) != n - 1:
+    def __post_init__(self) -> None:
+        bits = tuple(self.bits)
+        if type(self.n) is not int:
+            raise InvalidInputError(f"epsilon vectors need an integer n, got {echo(self.n)}")
+        if self.n < 2:
+            raise InvalidInputError(f"epsilon vectors need n >= 2, got {self.n}")
+        if len(bits) != self.n - 1:
             raise InvalidInputError(
-                f"epsilon vector for n={n} needs {n - 1} bits, got {len(bits)}"
+                f"epsilon vector for n={self.n} needs {self.n - 1} bits, got {len(bits)}"
             )
-        if any(b not in (0, 1) for b in bits):
+        if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise InvalidInputError(f"epsilon bits must be 0 or 1, got {echo(list(bits))}")
-        self._n = n
-        self._bits = bits
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return self._bits
-
-    @property
-    def ones_count(self) -> int:
-        return sum(self._bits)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def zero_positions(self) -> tuple[int, ...]:
         """1-indexed positions carrying a zero."""
-        return tuple(i + 1 for i, b in enumerate(self._bits) if b == 0)
+        return tuple(i + 1 for i, b in enumerate(self.bits) if b == 0)
 
     @classmethod
     def parse(cls, text: str) -> "EpsilonVector":
@@ -450,20 +443,10 @@ class EpsilonVector:
         return cls(len(text) + 1, tuple(int(c) for c in text))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EpsilonVector)
-            and self._n == other._n
-            and self._bits == other._bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._bits))
+        return "".join(str(b) for b in self.bits)
 
     def __repr__(self) -> str:
-        return f"EpsilonVector(n={self._n}, bits={str(self)!r})"
+        return f"EpsilonVector(n={self.n}, bits={str(self)!r})"
 
 
 def partition_from_epsilon(eps: EpsilonVector) -> Partition:

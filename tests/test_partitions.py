@@ -435,10 +435,35 @@ class TestEpsilon:
         with pytest.raises(InvalidInputError):
             EpsilonVector.parse("10x01")
 
+    @pytest.mark.parametrize(
+        "n,bits",
+        [
+            (3, [1.7, 0]),
+            (3, [1.0, 0]),
+            (3, [True, 0]),
+            (3, [1, False]),
+            (3, ["x", 0]),
+            (3, ["1", 0]),
+            (3.0, [1, 0]),
+            (True, []),
+            ("3", [1, 0]),
+        ],
+    )
+    def test_no_coercion(self, n, bits):
+        # a float, bool or string is refused, not rounded or parsed
+        with pytest.raises(InvalidInputError):
+            EpsilonVector(n, bits)
+
+    def test_equal_and_hashed_by_n_and_bits(self):
+        e = EpsilonVector(4, [1, 0, 1])
+        assert e == EpsilonVector.parse("101") and e != EpsilonVector.parse("100")
+        assert hash(e) == hash((4, (1, 0, 1)))
+        assert repr(e) == "EpsilonVector(n=4, bits='101')"
+        assert e.bits == (1, 0, 1)
+
     def test_views(self):
         e = EpsilonVector.parse("10101")
         assert e.n == 6
-        assert e.ones_count == 3
         assert e.zero_positions == (2, 4)
         assert str(e) == "10101"
 

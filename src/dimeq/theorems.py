@@ -848,7 +848,9 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
     lead, where cor1 has already tested the same sum.
     """
     if spec.l < 2:
-        raise InvalidInputError(f"vanishing_verdict needs at least 2 representations")
+        raise InvalidInputError(
+            f"vanishing_verdict needs at least 2 representations, got {spec.l}"
+        )
     n = spec.n
     reps = spec.representations
     l = spec.l

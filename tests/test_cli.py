@@ -402,6 +402,12 @@ class TestVanishCommand:
         rc, out, _ = run_cli(capsys, "vanish", path, "--format", "text")
         assert rc == 0 and out.startswith("{\n")
 
+    def test_one_representation_is_exit_2(self, capsys, tmp_path):
+        spec = {"n": 4, "representations": [{"kind": "generic"}]}
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "one.json", spec))
+        assert rc == 2 and out == ""
+        assert err == "error: vanishing_verdict needs at least 2 representations, got 1\n"
+
 
 def nested_spec_text(depth):
     """A spec whose first representation nests Eisenstein constituents

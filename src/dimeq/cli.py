@@ -128,16 +128,19 @@ def cmd_partition_compare(args: argparse.Namespace) -> int:
 # -- rep --------------------------------------------------------------------------
 
 
+def _rep_orbit(args: argparse.Namespace) -> Partition:
+    """The attached orbit of the descriptor in args.file (of rank args.n, if given)."""
+    return attached_orbit(rep_from_json(_load_json(args.file), expected_rank=args.n))
+
+
 def cmd_rep_orbit(args: argparse.Namespace) -> int:
-    rep = rep_from_json(_load_json(args.file), expected_rank=args.n)
-    orbit = attached_orbit(rep)
+    orbit = _rep_orbit(args)
     _emit(args, {"orbit": list(orbit.parts), "n": orbit.n}, str(orbit))
     return 0
 
 
 def cmd_rep_dim(args: argparse.Namespace) -> int:
-    rep = rep_from_json(_load_json(args.file), expected_rank=args.n)
-    orbit = attached_orbit(rep)
+    orbit = _rep_orbit(args)
     payload = {
         "rep_dim": orbit.rep_dim(),
         "orbit_dim": orbit.orbit_dim(),
@@ -420,7 +423,7 @@ def run(argv: list[str] | None = None) -> int:
             if type(exc) is ValueError and "integer string conversion" in str(exc):
                 raise ResourceLimitError(f"result too large to print: {exc}") from None
             raise
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
@@ -429,9 +432,6 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> int:

@@ -32,13 +32,17 @@ class EquationReport:
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds, "slack": self.slack}
 
 
+def _report(spec: IntegralSpec, rhs: int) -> EquationReport:
+    """The spec's rep dims summed against the budget rhs."""
+    lhs = sum(dim_rep(r) for r in spec.representations)
+    return EquationReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, slack=lhs - rhs)
+
+
 def check_dim_equation(spec: IntegralSpec) -> EquationReport:
     """sum of rep dims == n(n-1)/2, the reduced (mirabolic) budget."""
     if spec.n < 2:
         raise InvalidInputError(f"dimension equation needs n >= 2, got {spec.n}")
-    lhs = sum(dim_rep(r) for r in spec.representations)
-    rhs = spec.n * (spec.n - 1) // 2
-    return EquationReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, slack=lhs - rhs)
+    return _report(spec, spec.n * (spec.n - 1) // 2)
 
 
 def check_dim_equation_full(spec: IntegralSpec) -> EquationReport:
@@ -47,9 +51,7 @@ def check_dim_equation_full(spec: IntegralSpec) -> EquationReport:
         raise InvalidInputError(
             f"full dimension equation needs at least 3 representations, got {spec.l}"
         )
-    lhs = sum(dim_rep(r) for r in spec.representations)
-    rhs = spec.n * spec.n - 1
-    return EquationReport(lhs=lhs, rhs=rhs, holds=lhs == rhs, slack=lhs - rhs)
+    return _report(spec, spec.n * spec.n - 1)
 
 
 def reduce_to_whittaker_form(n: int) -> tuple[int, int, int]:

@@ -192,25 +192,13 @@ def is_speh_type(rep: RepDescriptor) -> bool:
 
 def top_trivial_block(rep: RepDescriptor) -> int | None:
     """Size of the leading block if rep is Eisenstein with a one-dimensional
-    leading constituent (attached orbit (1^m)); None otherwise."""
-    return trivial_block_at(rep, 1)
-
-
-def trivial_block_at(rep: RepDescriptor, j: int) -> int | None:
-    """Size of block j (1-indexed) if rep is Eisenstein and its j-th
-    constituent is one-dimensional; None otherwise.
+    leading constituent (attached orbit (1^m)); None otherwise.
 
     Triviality is detected through the constituent's attached orbit, so
     Speh(1, m) and ExplicitOrbit((1^m)) count alongside TrivialConstituent.
     """
-    if not isinstance(rep, Eisenstein):
-        return None
-    if j < 1 or j > len(rep.blocks):
-        raise InvalidInputError(
-            f"block index {j} out of range for {len(rep.blocks)} blocks"
-        )
-    if attached_orbit(rep.constituents[j - 1]).is_trivial_orbit():
-        return rep.blocks[j - 1]
+    if isinstance(rep, Eisenstein) and attached_orbit(rep.constituents[0]).is_trivial_orbit():
+        return rep.blocks[0]
     return None
 
 

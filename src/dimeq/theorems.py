@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -84,15 +84,12 @@ def _finish(
     violations = sorted(violations, key=lambda d: json.dumps(d, sort_keys=True))
     if len(violations) > cex_cap:
         parameters["counterexamples_total"] = len(violations)
-        kept = violations[:cex_cap]
-    else:
-        kept = violations
     return VerificationReport(
         statement=statement,
         parameters=parameters,
         space_size=space_size,
         passed=not violations,
-        counterexamples=tuple(kept),
+        counterexamples=tuple(violations[:cex_cap]),
     )
 
 
@@ -228,6 +225,11 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 # -- reduction of the main inequality to near-rectangular cases ----------------
 
 
+def _a_window(a: int, m1: int) -> tuple[Fraction, Fraction]:
+    """(left, right) with the a-window left < n <= right, for a >= 3."""
+    return Fraction(a * m1 - (a + 1), a - 1), Fraction((a - 1) * m1 - a, a - 2)
+
+
 @dataclass(frozen=True)
 class Lemma2Case:
     """One near-rectangular case partition (a^p1, (a-1)^p2) in the reduction.
@@ -235,12 +237,13 @@ class Lemma2Case:
     Invariants: a >= 2, p1 >= 1, p2 >= 0; with n = a*p1 + (a-1)*p2 and
     m1 = n - (p1+p2) + 1, either a == 2 and n >= 2*m1 - 2, or a >= 3 and n
     lies in the window (a*m1-(a+1))/(a-1) < n <= ((a-1)*m1-a)/(a-2).
+    The partition is built from the shape once it passes these checks.
     """
 
     a: int
     p1: int
     p2: int
-    partition: Partition
+    partition: Partition = field(init=False)
 
     def __post_init__(self) -> None:
         if self.a < 2 or self.p1 < 1 or self.p2 < 0:
@@ -256,17 +259,13 @@ class Lemma2Case:
             if n < 2 * m1 - 2:
                 raise InvalidInputError(f"a=2 case needs n >= 2*m1-2, got n={n}, m1={m1}")
         else:
-            left = Fraction(self.a * m1 - (self.a + 1), self.a - 1)
-            right = Fraction((self.a - 1) * m1 - self.a, self.a - 2)
+            left, right = _a_window(self.a, m1)
             if not (left < n <= right):
                 raise InvalidInputError(
                     f"a={self.a} case outside its window: {left} < {n} <= {right} fails"
                 )
-        expected = (self.a,) * self.p1 + (self.a - 1,) * self.p2
-        if self.partition.parts != expected:
-            raise InvalidInputError(
-                f"case partition {self.partition} does not match shape {list(expected)}"
-            )
+        parts = (self.a,) * self.p1 + (self.a - 1,) * self.p2
+        object.__setattr__(self, "partition", Partition(parts))
 
 
 def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
@@ -274,8 +273,10 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
 
     For each a in [2, m1], the candidate has p2 = a*s - n parts of a-1 and
     p1 = s - p2 parts of a, where s = n - m1 + 1 is the length bound.  A
-    candidate is kept when both counts are admissible (p1 >= 1, p2 >= 0)
-    and n lies in the a-window; the result can be empty.
+    candidate is kept when both counts are admissible (p1 >= 1, p2 >= 0);
+    the result can be empty.  An admissible candidate always lies in its
+    a-window, which Lemma2Case checks: n - left = (p2 + 1)/(a - 1) > 0 and
+    right - n = (p1 - 1)/(a - 2) >= 0.
     """
     if n < 2:
         raise InvalidInputError(f"lemma2_reduction_cases needs n >= 2, got {n}")
@@ -286,18 +287,8 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
     for a in range(2, m1 + 1):
         p2 = a * s - n
         p1 = s - p2
-        if p1 < 1 or p2 < 0:
-            continue
-        if a >= 3:
-            left = Fraction(a * m1 - (a + 1), a - 1)
-            right = Fraction((a - 1) * m1 - a, a - 2)
-            if not (left < n <= right):
-                continue
-        cases.append(
-            Lemma2Case(
-                a=a, p1=p1, p2=p2, partition=Partition((a,) * p1 + (a - 1,) * p2)
-            )
-        )
+        if p1 >= 1 and p2 >= 0:
+            cases.append(Lemma2Case(a=a, p1=p1, p2=p2))
     return cases
 
 
@@ -380,8 +371,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
         # (iii) window margin for a >= 3
         for a in range(3, m1 + 1):
-            left = Fraction(a * m1 - (a + 1), a - 1)
-            right = Fraction((a - 1) * m1 - a, a - 2)
+            left, right = _a_window(a, m1)
             if not (left < n <= right):
                 continue
             space += 1
@@ -428,6 +418,15 @@ def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 # -- residual block bookkeeping -------------------------------------------------
 
 
+def _check_blocks(caller: str, n: int, m1s: tuple[int, ...]) -> None:
+    """n >= 2, and every trivial block lies in [1, n-1]."""
+    if n < 2:
+        raise InvalidInputError(f"{caller} needs n >= 2, got {n}")
+    for m in m1s:
+        if not 1 <= m <= n - 1:
+            raise InvalidInputError(f"block {m} outside [1, {n - 1}]")
+
+
 def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
     """What remains of the first trivial block after paying n - m for each
     later block: sum(m) - (k-1)*n - 1.
@@ -438,11 +437,7 @@ def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
     m1s = tuple(m1s)
     if not m1s:
         raise InvalidInputError("residual_bound needs at least one block")
-    if n < 2:
-        raise InvalidInputError(f"residual_bound needs n >= 2, got {n}")
-    for m in m1s:
-        if not 1 <= m <= n - 1:
-            raise InvalidInputError(f"block {m} outside [1, {n - 1}]")
+    _check_blocks("residual_bound", n, m1s)
     r = m1s[0] - 1
     for m in m1s[1:]:
         r -= n - m
@@ -460,11 +455,7 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
         raise InvalidInputError(f"check_corollary1 needs l >= 2, got {l}")
     if len(m1s) != l:
         raise InvalidInputError(f"expected {l} blocks, got {len(m1s)}")
-    if n < 2:
-        raise InvalidInputError(f"check_corollary1 needs n >= 2, got {n}")
-    for m in m1s:
-        if not 1 <= m <= n - 1:
-            raise InvalidInputError(f"block {m} outside [1, {n - 1}]")
+    _check_blocks("check_corollary1", n, m1s)
     return sum(m1s) >= n * (l - 1) + 2
 
 
@@ -498,6 +489,16 @@ def _big_tuple_count(n: int, k: int) -> int:
     """How many nonincreasing k-tuples of blocks in (n/2, n-1] there are,
     within budget or not: C(|big| + k - 1, k), |big| = n - 1 - floor(n/2)."""
     return math.comb(n - 1 - n // 2 + k - 1, k)
+
+
+def _strict_tuples(n: int, l: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every (l-1)-tuple head from _big_block_tuples followed by each last
+    block in [1, n-1] that the budget leaves room for."""
+    # The cheapest last block (1 or n-1) costs n-1; heads over
+    # budget - (n-1) admit no last block at all.
+    for head in _big_block_tuples(n, l - 1, budget - (n - 1)):
+        room = budget - sum(m * (n - m) for m in head)
+        yield from (head + (m,) for m in range(n - 1, 0, -1) if m * (n - m) <= room)
 
 
 def verify_prop4(
@@ -537,30 +538,14 @@ def verify_prop4(
 
     if mode == "paper":
         space = _big_tuple_count(n, l)
-        for tup in _big_block_tuples(n, l, budget):
-            feasible += 1
-            if sum(tup) < threshold:
-                violations.append(
-                    {"blocks": list(tup), "block_sum": sum(tup), "required": threshold}
-                )
+        tuples = _big_block_tuples(n, l, budget)
     else:
         space = _big_tuple_count(n, l - 1) * (n - 1)
-        # The cheapest last block (1 or n-1) costs n-1; heads over
-        # budget - (n-1) admit no last block at all.
-        for first in _big_block_tuples(n, l - 1, budget - (n - 1)):
-            head_cost = sum(m * (n - m) for m in first)
-            for mj in range(n - 1, 0, -1):
-                if head_cost + mj * (n - mj) > budget:
-                    continue
-                feasible += 1
-                if sum(first) + mj < threshold:
-                    violations.append(
-                        {
-                            "blocks": list(first) + [mj],
-                            "block_sum": sum(first) + mj,
-                            "required": threshold,
-                        }
-                    )
+        tuples = _strict_tuples(n, l, budget)
+    for tup in tuples:
+        feasible += 1
+        if sum(tup) < threshold:
+            violations.append({"blocks": list(tup), "block_sum": sum(tup), "required": threshold})
 
     params: dict = {
         "n": n,
@@ -866,15 +851,13 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
     if not report.holds:
         if l == 2:
             a, b = reps
-            for x, y in ((a, b), (b, a)):
-                if _eisenstein_with_rect_head(x) and (
-                    is_speh_type(y) or _eisenstein_with_rect_head(y)
-                ):
-                    short = all(
-                        attached_orbit(r).length <= n // 2 for r in reps
-                    )
-                    if short:
-                        return EquationFails(by="prop3", equation_report=report)
+            pair = any(
+                _eisenstein_with_rect_head(x)
+                and (is_speh_type(y) or _eisenstein_with_rect_head(y))
+                for x, y in ((a, b), (b, a))
+            )
+            if pair and all(attached_orbit(r).length <= n // 2 for r in reps):
+                return EquationFails(by="prop3", equation_report=report)
         return NotApplicable(
             reason=(
                 f"dimension equation fails ({report.lhs} != {report.rhs}) "

@@ -24,7 +24,6 @@ from dimeq import (
     spec_from_json,
     spec_to_json,
     top_trivial_block,
-    trivial_block_at,
 )
 from dimeq.representations import MAX_NESTING
 
@@ -157,15 +156,6 @@ class TestShapePredicates:
         assert top_trivial_block(e) == 4
         e = Eisenstein((4, 2), (ExplicitOrbit(Partition([1, 1, 1, 1])), Generic(2)))
         assert top_trivial_block(e) == 4
-
-    def test_trivial_block_at(self):
-        e = Eisenstein((4, 3), (Generic(4), T(3)))
-        assert trivial_block_at(e, 1) is None
-        assert trivial_block_at(e, 2) == 3
-        with pytest.raises(InvalidInputError):
-            trivial_block_at(e, 3)
-        with pytest.raises(InvalidInputError):
-            trivial_block_at(e, 0)
 
     def test_rect_head_towers_have_short_orbits(self):
         # induced data with a nontrivial rectangular head never has orbit

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,32 @@ class TestReductionCases:
         ]
         assert got == expected
 
+    def test_matches_the_windowed_search(self):
+        # the a-window, tested case by case, never drops an admissible shape
+        for n in range(2, 41):
+            for m1 in range(2, n + 1):
+                s = n - m1 + 1
+                want = []
+                for a in range(2, m1 + 1):
+                    p2 = a * s - n
+                    p1 = s - p2
+                    if p1 < 1 or p2 < 0:
+                        continue
+                    if a >= 3 and not (
+                        Fraction(a * m1 - a - 1, a - 1) < n <= Fraction((a - 1) * m1 - a, a - 2)
+                    ):
+                        continue
+                    want.append((a, p1, p2))
+                got = [(c.a, c.p1, c.p2) for c in lemma2_reduction_cases(n, m1)]
+                assert got == want, (n, m1)
+
+    def test_partition_is_derived_from_the_shape(self):
+        c = Lemma2Case(a=3, p1=1, p2=1)
+        assert c.partition == Partition((3, 2))
+        assert repr(c) == "Lemma2Case(a=3, p1=1, p2=1, partition=Partition([3, 2]))"
+        assert c == Lemma2Case(3, 1, 1) and c != Lemma2Case(3, 2, 1)
+        assert hash(c) == hash(Lemma2Case(3, 1, 1))
+
     def test_cases_have_declared_shape(self):
         for n in range(2, 21):
             for m1 in range(2, n + 1):
@@ -164,20 +191,17 @@ class TestReductionCases:
 
     def test_case_invariants_bite(self):
         with pytest.raises(InvalidInputError):
-            Lemma2Case(a=1, p1=1, p2=0, partition=Partition((1,)))
+            Lemma2Case(a=1, p1=1, p2=0)
         with pytest.raises(InvalidInputError):
-            Lemma2Case(a=2, p1=0, p2=2, partition=Partition((1, 1)))
+            Lemma2Case(a=2, p1=0, p2=2)
         with pytest.raises(InvalidInputError):
-            Lemma2Case(a=2, p1=1, p2=-1, partition=Partition((2,)))
-        # partition must match the (a^p1, (a-1)^p2) shape exactly
-        with pytest.raises(InvalidInputError):
-            Lemma2Case(a=2, p1=2, p2=0, partition=Partition((2, 1, 1)))
+            Lemma2Case(a=2, p1=1, p2=-1)
 
     def test_bad_shape_is_reported_first(self):
         with pytest.raises(
             InvalidInputError, match=r"^bad case shape a=1, p1=0, p2=-1$"
         ):
-            Lemma2Case(a=1, p1=0, p2=-1, partition=Partition((3,)))
+            Lemma2Case(a=1, p1=0, p2=-1)
 
 
 class TestVerifyReduction:

@@ -147,7 +147,8 @@ class TestReductionCases:
         assert got == expected
 
     def test_matches_the_windowed_search(self):
-        # the a-window, tested case by case, never drops an admissible shape
+        # the a-window, tested case by case, never drops an admissible shape;
+        # and every case keeps the invariants Lemma2Case states
         for n in range(2, 41):
             for m1 in range(2, n + 1):
                 s = n - m1 + 1
@@ -162,8 +163,11 @@ class TestReductionCases:
                     ):
                         continue
                     want.append((a, p1, p2))
-                got = [(c.a, c.p1, c.p2) for c in lemma2_reduction_cases(n, m1)]
-                assert got == want, (n, m1)
+                cases = lemma2_reduction_cases(n, m1)
+                assert [(c.a, c.p1, c.p2) for c in cases] == want, (n, m1)
+                for c in cases:
+                    assert 2 <= c.a <= m1, (n, m1, c)
+                    assert c.a != 2 or n >= 2 * m1 - 2, (n, m1, c)
 
     def test_partition_is_derived_from_the_shape(self):
         c = Lemma2Case(a=3, p1=1, p2=1)

@@ -246,6 +246,10 @@ class Lemma2Case:
     partition: Partition = field(init=False)
 
     def __post_init__(self) -> None:
+        if any(type(x) is not int for x in (self.a, self.p1, self.p2)):
+            raise InvalidInputError(
+                f"case a, p1, p2 must be ints, got {echo((self.a, self.p1, self.p2))}"
+            )
         if self.a < 2 or self.p1 < 1 or self.p2 < 0:
             raise InvalidInputError(
                 f"bad case shape a={self.a}, p1={self.p1}, p2={self.p2}"

@@ -201,6 +201,23 @@ class TestReductionCases:
         with pytest.raises(InvalidInputError):
             Lemma2Case(a=2, p1=1, p2=-1)
 
+    @pytest.mark.parametrize(
+        "a,p1,p2",
+        [
+            (3, True, 0),
+            (2, 1, False),
+            (True, 1, 0),
+            (3.0, 1, 0),
+            (3, 1, 0.5),
+            (3, 1.0, 0),
+            ("3", 1, 0),
+        ],
+    )
+    def test_fields_must_be_ints(self, a, p1, p2):
+        # a bool, float or string is refused before the shape is read
+        with pytest.raises(InvalidInputError, match=r"^case a, p1, p2 must be ints, got \("):
+            Lemma2Case(a, p1, p2)
+
     def test_bad_shape_is_reported_first(self):
         with pytest.raises(
             InvalidInputError, match=r"^bad case shape a=1, p1=0, p2=-1$"

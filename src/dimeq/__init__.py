@@ -6,6 +6,8 @@ theorems module verifies the supporting statements exhaustively at desk
 scale, and the verdict engine applies them to concrete integral data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .equation import (
     DEFAULT_MAX_L,
     DEFAULT_MAX_N,
@@ -70,60 +72,10 @@ from .theorems import (
 
 __version__ = "0.1.0"
 
+# The public names are the ones imported above: every global except the
+# underscored ones and the submodules that those imports bind.
 __all__ = [
-    "Dominance",
-    "EpsilonVector",
-    "Partition",
-    "dominance_floor",
-    "enumerate_partitions",
-    "epsilon_preimage",
-    "partition_from_epsilon",
-    "Generic",
-    "Speh",
-    "TrivialConstituent",
-    "ExplicitOrbit",
-    "Eisenstein",
-    "RepDescriptor",
-    "IntegralSpec",
-    "attached_orbit",
-    "dim_rep",
-    "is_speh_type",
-    "minimal_eisenstein",
-    "rank",
-    "top_trivial_block",
-    "rep_from_json",
-    "rep_to_json",
-    "spec_from_json",
-    "spec_to_json",
-    "EquationReport",
-    "check_dim_equation",
-    "check_dim_equation_full",
-    "enumerate_orbit_solutions",
-    "reduce_to_whittaker_form",
-    "DEFAULT_MAX_N",
-    "DEFAULT_MAX_L",
-    "DEFAULT_CEX_CAP",
-    "VerificationReport",
-    "Lemma2Case",
-    "lemma2_I",
-    "lemma2_reduction_cases",
-    "residual_bound",
-    "check_corollary1",
-    "verify_lemma1",
-    "verify_lemma2",
-    "verify_lemma2_reduction",
-    "verify_prop3",
-    "verify_prop4",
-    "verify_prop5",
-    "verify_epsilon_orbit_claim",
-    "Vanishes",
-    "EquationFails",
-    "NotApplicable",
-    "NotConcluded",
-    "Verdict",
-    "vanishing_verdict",
-    "verdict_to_json",
-    "InvalidInputError",
-    "ResourceLimitError",
-    "InternalError",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

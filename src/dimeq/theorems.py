@@ -225,19 +225,18 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 # -- reduction of the main inequality to near-rectangular cases ----------------
 
 
-def _a_window(a: int, m1: int) -> tuple[Fraction, Fraction]:
-    """(left, right) with the a-window left < n <= right, for a >= 3."""
-    return Fraction(a * m1 - (a + 1), a - 1), Fraction((a - 1) * m1 - a, a - 2)
-
-
 @dataclass(frozen=True)
 class Lemma2Case:
     """One near-rectangular case partition (a^p1, (a-1)^p2) in the reduction.
 
-    Invariants: a >= 2, p1 >= 1, p2 >= 0; with n = a*p1 + (a-1)*p2 and
-    m1 = n - (p1+p2) + 1, either a == 2 and n >= 2*m1 - 2, or a >= 3 and n
-    lies in the window (a*m1-(a+1))/(a-1) < n <= ((a-1)*m1-a)/(a-2).
-    The partition is built from the shape once it passes these checks.
+    a, p1 and p2 are ints (not bools) with a >= 2, p1 >= 1, p2 >= 0; the
+    partition is built from them.  With n = a*p1 + (a-1)*p2 and
+    m1 = n - (p1+p2) + 1 these imply the reduction's invariants, so they
+    need no check of their own: m1 - a = (a-1)(p1-1) + (a-2)p2 >= 0, so
+    2 <= a <= m1; for a == 2, n - (2*m1-2) = p2 >= 0; for a >= 3, n lies in
+    the window left < n <= right, with left = (a*m1-(a+1))/(a-1) and
+    right = ((a-1)*m1-a)/(a-2), since n - left = (p2+1)/(a-1) > 0 and
+    right - n = (p1-1)/(a-2) >= 0.
     """
 
     a: int
@@ -254,20 +253,6 @@ class Lemma2Case:
             raise InvalidInputError(
                 f"bad case shape a={self.a}, p1={self.p1}, p2={self.p2}"
             )
-        n = self.a * self.p1 + (self.a - 1) * self.p2
-        s = self.p1 + self.p2
-        m1 = n - s + 1
-        if not 2 <= self.a <= m1:
-            raise InvalidInputError(f"case a={self.a} outside [2, {m1}]")
-        if self.a == 2:
-            if n < 2 * m1 - 2:
-                raise InvalidInputError(f"a=2 case needs n >= 2*m1-2, got n={n}, m1={m1}")
-        else:
-            left, right = _a_window(self.a, m1)
-            if not (left < n <= right):
-                raise InvalidInputError(
-                    f"a={self.a} case outside its window: {left} < {n} <= {right} fails"
-                )
         parts = (self.a,) * self.p1 + (self.a - 1,) * self.p2
         object.__setattr__(self, "partition", Partition(parts))
 
@@ -279,8 +264,7 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
     p1 = s - p2 parts of a, where s = n - m1 + 1 is the length bound.  A
     candidate is kept when both counts are admissible (p1 >= 1, p2 >= 0);
     the result can be empty.  An admissible candidate always lies in its
-    a-window, which Lemma2Case checks: n - left = (p2 + 1)/(a - 1) > 0 and
-    right - n = (p1 - 1)/(a - 2) >= 0.
+    a-window (see Lemma2Case).
     """
     if n < 2:
         raise InvalidInputError(f"lemma2_reduction_cases needs n >= 2, got {n}")
@@ -375,7 +359,8 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
         # (iii) window margin for a >= 3
         for a in range(3, m1 + 1):
-            left, right = _a_window(a, m1)
+            left = Fraction(a * m1 - (a + 1), a - 1)
+            right = Fraction((a - 1) * m1 - a, a - 2)
             if not (left < n <= right):
                 continue
             space += 1

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import hashlib
 import inspect
 import itertools
 import json
@@ -649,6 +650,30 @@ class TestVerifyProp4:
             (9, 9, 3),
         }
         assert all(c["required"] == 22 for c in r.counterexamples)
+
+    @pytest.mark.parametrize(
+        "cap,digest",
+        [
+            (
+                dimeq.theorems.DEFAULT_CEX_CAP,
+                "56a33b535eeded3a8d52b6d69c9911b682aff7448307b71d670b521dfd9023d5",
+            ),
+            (3, "0e2042e66b847ae372a77b6fd9a5e9ee0846ef97282207cb3c562a9deabc3a25"),
+        ],
+    )
+    def test_strict_reports_are_pinned(self, cap, digest):
+        # strict mode meets the oracle only up to n = 24 and is not part of
+        # `verify all`, so its reports over a wider grid are pinned here
+        reports = [
+            json.dumps(
+                verify_prop4(n, l, mode="strict", cex_cap=cap).to_json(),
+                separators=(",", ":"),
+            )
+            for n in range(4, 41)
+            for l in range(3, 7)
+        ]
+        assert len(reports) == 148
+        assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == digest
 
     def test_cex_cap_truncates_but_counts(self):
         r = verify_prop4(10, 3, mode="strict", cex_cap=3)

@@ -20,13 +20,13 @@ import bisect
 import itertools
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InternalError, InvalidInputError, echo
+from .errors import InternalError, InvalidInputError, ResourceLimitError, echo
 from .partitions import (
     Dominance,
     EpsilonVector,
@@ -448,46 +448,45 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     return sum(m1s) >= n * (l - 1) + 2
 
 
-def _big_block_tuples(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Every nonincreasing k-tuple of blocks m in (n/2, n-1] whose costs
-    m(n-m) sum to at most budget, in combinations_with_replacement order.
+def _block_sweep(
+    n: int, k: int, budget: int, below: int
+) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(space, feasible, short) over the nonincreasing k-tuples of blocks m in
+    (n/2, n-1]: how many there are, C(|big| + k - 1, k); how many have costs
+    m(n-m) summing to at most budget; and which of those sum below `below`.
 
-    On that range the cost rises strictly as m falls.  So the cheapest way
-    to fill the slots left after choosing a block is to repeat it, and once
-    that overshoots the budget, every smaller block overshoots too: the loop
-    breaks there.  Every prefix visited extends to a yielded tuple.
+    On that range the cost rises strictly as m falls, so the cheapest way to
+    fill the slots left after a block is to repeat it; once that overshoots,
+    every smaller block does too, and the walk over the first k-1 slots
+    breaks there.  The last slot is not walked: the blocks that fit it are a
+    prefix of those left, counted by one bisect, and as big[i] = n-1-i, the
+    ones that leave the sum below `below` are the suffix from index
+    n + sum(prefix) - below.  Only that suffix becomes tuples.  A walk too
+    deep for the interpreter is refused with ResourceLimitError.
     """
     big = range(n - 1, n // 2, -1)
     cost = [m * (n - m) for m in big]
+    feasible = 0
+    short: list[tuple[int, ...]] = []
 
-    def extend(
-        prefix: tuple[int, ...], start: int, spent: int, left: int
-    ) -> Iterator[tuple[int, ...]]:
+    def walk(prefix: tuple[int, ...], start: int, spent: int, left: int) -> None:
+        nonlocal feasible
+        if left == 1:
+            end = bisect.bisect_right(cost, budget - spent, start)
+            feasible += end - start
+            first_short = max(start, n + sum(prefix) - below)
+            short.extend(prefix + (big[i],) for i in range(first_short, end))
+            return
         for i in range(start, len(cost)):
             if spent + left * cost[i] > budget:
                 break
-            if left == 1:
-                yield prefix + (big[i],)
-            else:
-                yield from extend(prefix + (big[i],), i, spent + cost[i], left - 1)
+            walk(prefix + (big[i],), i, spent + cost[i], left - 1)
 
-    return extend((), 0, 0, k)
-
-
-def _big_tuple_count(n: int, k: int) -> int:
-    """How many nonincreasing k-tuples of blocks in (n/2, n-1] there are,
-    within budget or not: C(|big| + k - 1, k), |big| = n - 1 - floor(n/2)."""
-    return math.comb(n - 1 - n // 2 + k - 1, k)
-
-
-def _strict_tuples(n: int, l: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Every (l-1)-tuple head from _big_block_tuples followed by each last
-    block in [1, n-1] that the budget leaves room for."""
-    # The cheapest last block (1 or n-1) costs n-1; heads over
-    # budget - (n-1) admit no last block at all.
-    for head in _big_block_tuples(n, l - 1, budget - (n - 1)):
-        room = budget - sum(m * (n - m) for m in head)
-        yield from (head + (m,) for m in range(n - 1, 0, -1) if m * (n - m) <= room)
+    try:
+        walk((), 0, 0, k)
+    except RecursionError:
+        raise ResourceLimitError(f"block search too deep: n={n}, {k} slots") from None
+    return math.comb(len(big) + k - 1, k), feasible, short
 
 
 def verify_prop4(
@@ -501,13 +500,13 @@ def verify_prop4(
     block ranges over [1, n-1], which is *expected* to produce violations —
     the report then documents the exact gap (small last blocks).
 
-    The search is a pruned DFS over the nonincreasing tuples of blocks in
-    (n/2, n-1] (for strict mode, over the l-1 leading blocks, each then
-    paired with every last block).  It only stops at a block where all the
-    remaining tuples exceed the budget, so it visits every feasible tuple
-    and only those.  space_size counts the whole space in closed form: all
-    l-tuples in paper mode, and all (l-1)-tuple heads times the n - 1 last
-    blocks in strict mode.
+    The search is _block_sweep: a pruned walk over the leading blocks in
+    (n/2, n-1] that counts the last block's choices with one bisect and
+    expands into tuples only those whose sum falls short.  Strict mode runs
+    it once per last block m in [1, n-1], over the l-1 leading blocks with
+    the budget and threshold reduced by m's share.  space_size counts the
+    whole space in closed form: all l-tuples in paper mode, and all
+    (l-1)-tuple heads times the n - 1 last blocks in strict mode.
 
     In paper mode the closed-form bound l*n/2 + sqrt((l^2-2l)n^2 + 2ln)/2
     >= (l-1)n + 2 is also checked, exactly: both sides square to integers,
@@ -522,19 +521,19 @@ def verify_prop4(
         raise InvalidInputError(f"mode must be 'paper' or 'strict', got {echo(mode)}")
     budget = n * (n - 1) // 2
     threshold = n * (l - 1) + 2
-    feasible = 0
-    violations: list[dict] = []
-
     if mode == "paper":
-        space = _big_tuple_count(n, l)
-        tuples = _big_block_tuples(n, l, budget)
+        space, feasible, short = _block_sweep(n, l, budget, threshold)
     else:
-        space = _big_tuple_count(n, l - 1) * (n - 1)
-        tuples = _strict_tuples(n, l, budget)
-    for tup in tuples:
-        feasible += 1
-        if sum(tup) < threshold:
-            violations.append({"blocks": list(tup), "block_sum": sum(tup), "required": threshold})
+        space = feasible = 0
+        short = []
+        for m in range(n - 1, 0, -1):
+            s, f, heads = _block_sweep(n, l - 1, budget - m * (n - m), threshold - m)
+            space += s
+            feasible += f
+            short += [head + (m,) for head in heads]
+    violations = [
+        {"blocks": list(tup), "block_sum": sum(tup), "required": threshold} for tup in short
+    ]
 
     params: dict = {
         "n": n,
@@ -564,9 +563,10 @@ def verify_prop5(
     l-1 leading trivial blocks must leave residual at least n - q + 1.
 
     Integer search: blocks m in (n/2, n-1] with sum m(n-m) <= n(q-1)/2 must
-    have residual_bound >= n - q + 1.  The same pruned DFS as verify_prop4
-    visits exactly the feasible (l-1)-tuples, and residual_bound is checked
-    on each; space_size counts all the (l-1)-tuples, feasible or not, in
+    have residual_bound = sum(m) - (l-2)n - 1 >= n - q + 1.  The same
+    _block_sweep as verify_prop4 counts the feasible (l-1)-tuples and returns
+    those whose sum falls short, each reported through residual_bound;
+    space_size counts all the (l-1)-tuples, feasible or not, in
     closed form.  The closed-form minimizer check is
     performed exactly when the minimizer lies within the block range
     (2(l-1)(n-1) <= n(q-1)); otherwise the feasible region is empty and the
@@ -584,16 +584,11 @@ def verify_prop5(
     p = n // q
     budget = n * (q - 1) // 2
     required = n - q + 1
-    space = _big_tuple_count(n, l - 1)
-    feasible = 0
-    violations: list[dict] = []
-    for tup in _big_block_tuples(n, l - 1, budget):
-        feasible += 1
-        rb = residual_bound(n, tup)
-        if rb < required:
-            violations.append(
-                {"blocks": list(tup), "residual_bound": rb, "required": required}
-            )
+    space, feasible, short = _block_sweep(n, l - 1, budget, required + (l - 2) * n + 1)
+    violations = [
+        {"blocks": list(tup), "residual_bound": residual_bound(n, tup), "required": required}
+        for tup in short
+    ]
 
     # closed form at the constrained minimizer m* = n/2 + sqrt(D)/(2(l-1)),
     # D = (l-1)^2 n^2 - 2n(l-1)(q-1): residual > n - q + 1 iff sqrt(D) > R.

@@ -296,6 +296,18 @@ class TestVerifyCommands:
             assert rc == 0, argv
             assert json.loads(out)["passed"] is True, argv
 
+    @pytest.mark.parametrize(
+        "argv,slots",
+        [
+            (("prop4", "--n", "3000", "--l", "1400"), "n=3000, 1400 slots"),
+            (("prop5", "--n", "6000", "--q", "3000", "--l", "1400"), "n=6000, 1399 slots"),
+        ],
+    )
+    def test_too_deep_block_search_is_exit_3(self, capsys, argv, slots):
+        rc, out, err = run_cli(capsys, "verify", *argv)
+        assert (rc, out) == (3, "")
+        assert err == f"resource limit: block search too deep: {slots}\n"
+
     def test_strict_prop4_is_exit_1(self, capsys):
         rc, out, _ = run_cli(
             capsys, "verify", "prop4", "--n", "10", "--l", "3", "--mode", "strict"

@@ -29,6 +29,7 @@ from dimeq import (
     NotApplicable,
     NotConcluded,
     Partition,
+    ResourceLimitError,
     Speh,
     TrivialConstituent,
     Vanishes,
@@ -53,7 +54,7 @@ from dimeq import (
     verify_prop4,
     verify_prop5,
 )
-from dimeq.theorems import VERIFIERS, _finish, _pair_sweep, verification_sweep
+from dimeq.theorems import VERIFIERS, _block_sweep, _finish, _pair_sweep, verification_sweep
 
 T = TrivialConstituent
 
@@ -613,6 +614,70 @@ class TestPrunedSweepsMatchOracles:
         assert r.space_size == sum(math.comb(39, z) for z in range(19))
         assert r.space_size == 205954642534
         assert r.passed
+
+
+class TestBlockSweep:
+    """_block_sweep, the search behind prop4 and prop5, against every tuple."""
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_matches_brute_force(self, n):
+        big = range(n - 1, n // 2, -1)
+        for k in range(1, 5):
+            tuples = list(itertools.combinations_with_replacement(big, k))
+            costs = {t: sum(m * (n - m) for m in t) for t in tuples}
+            for budget in sorted({-n, -1, 0} | set(costs.values())):
+                fits = [t for t in tuples if costs[t] <= budget]
+                for below in range(k * (n - 1) + 2):
+                    space, feasible, short = _block_sweep(n, k, budget, below)
+                    assert (space, feasible) == (len(tuples), len(fits)), (n, k, budget)
+                    assert len(short) == len(set(short)), (n, k, budget, below)
+                    want = {t for t in fits if sum(t) < below}
+                    assert set(short) == want, (n, k, budget, below)
+
+    def test_callers_report_exactly_the_short_tuples(self, monkeypatch):
+        # No real prop4 or prop5 input falls short, so the sweep is given a
+        # budget every tuple fits: each caller must then report exactly the
+        # tuples its statement rejects, through its own threshold or
+        # residual_bound.
+        sweep = dimeq.theorems._block_sweep
+        monkeypatch.setattr(
+            dimeq.theorems, "_block_sweep", lambda n, k, _, below: sweep(n, k, n * n * k, below)
+        )
+
+        def reported(r):
+            return sorted(c["blocks"] for c in r.counterexamples if "blocks" in c)
+
+        for n in range(4, 17):
+            big = range(n - 1, n // 2, -1)
+            for l in range(3, 6):
+                want = [
+                    list(t)
+                    for t in itertools.combinations_with_replacement(big, l)
+                    if sum(t) < n * (l - 1) + 2
+                ]
+                assert reported(verify_prop4(n, l, cex_cap=10**6)) == sorted(want), (n, l)
+                for q in range(2, n // 2 + 1):
+                    if n % q:
+                        continue
+                    want = [
+                        list(t)
+                        for t in itertools.combinations_with_replacement(big, l - 1)
+                        if residual_bound(n, t) < n - q + 1
+                    ]
+                    got = reported(verify_prop5(n, q, l, cex_cap=10**6))
+                    assert got == sorted(want), (n, q, l)
+
+    @pytest.mark.parametrize(
+        "call,slots",
+        [
+            (lambda: verify_prop4(3000, 1400), "n=3000, 1400 slots"),
+            (lambda: verify_prop4(3000, 1400, mode="strict"), "n=3000, 1399 slots"),
+            (lambda: verify_prop5(6000, 3000, 1400), "n=6000, 1399 slots"),
+        ],
+    )
+    def test_too_deep_is_a_resource_limit(self, call, slots):
+        with pytest.raises(ResourceLimitError, match=f"too deep: {slots}$"):
+            call()
 
 
 class TestVerifyProp4:

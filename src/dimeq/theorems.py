@@ -138,7 +138,7 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     if n < 2:
         raise InvalidInputError(f"verify_lemma1 needs n >= 2, got {n}")
     rects = [
-        Partition((p,) * (n // p)) for p in range(n, 1, -1) if n % p == 0
+        Partition.from_runs([(p, n // p)]) for p in range(n, 1, -1) if n % p == 0
     ]
     floor = dominance_floor(n)
     bound = n * (n - 1) // 2
@@ -230,7 +230,7 @@ class Lemma2Case:
     """One near-rectangular case partition (a^p1, (a-1)^p2) in the reduction.
 
     a, p1 and p2 are ints (not bools) with a >= 2, p1 >= 1, p2 >= 0; the
-    partition is built from them.  With n = a*p1 + (a-1)*p2 and
+    partition is built from their runs.  With n = a*p1 + (a-1)*p2 and
     m1 = n - (p1+p2) + 1 these imply the reduction's invariants, so they
     need no check of their own: m1 - a = (a-1)(p1-1) + (a-2)p2 >= 0, so
     2 <= a <= m1; for a == 2, n - (2*m1-2) = p2 >= 0; for a >= 3, n lies in
@@ -253,8 +253,8 @@ class Lemma2Case:
             raise InvalidInputError(
                 f"bad case shape a={self.a}, p1={self.p1}, p2={self.p2}"
             )
-        parts = (self.a,) * self.p1 + (self.a - 1,) * self.p2
-        object.__setattr__(self, "partition", Partition(parts))
+        runs = [(v, m) for v, m in ((self.a, self.p1), (self.a - 1, self.p2)) if m]
+        object.__setattr__(self, "partition", Partition.from_runs(runs))
 
 
 def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:

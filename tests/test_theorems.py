@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,6 +178,16 @@ class TestReductionCases:
         assert repr(c) == "Lemma2Case(a=3, p1=1, p2=1, partition=Partition([3, 2]))"
         assert c == Lemma2Case(3, 1, 1) and c != Lemma2Case(3, 2, 1)
         assert hash(c) == hash(Lemma2Case(3, 1, 1))
+
+    def test_huge_case_is_built_from_runs(self):
+        tracemalloc.start()
+        try:
+            c = Lemma2Case(3, 10**7, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.partition.runs == ((3, 10**7),)
+        assert peak < 1_000_000
 
     def test_cases_have_declared_shape(self):
         for n in range(2, 21):

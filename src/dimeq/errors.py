@@ -8,7 +8,8 @@ class InvalidInputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested search exceeds the configured size bounds.
+    """A requested search exceeds the configured size bounds or the
+    interpreter's recursion limit.
 
     Raised instead of silently truncating, so callers can distinguish "no
     solutions" from "refused to look".  The CLI maps this to exit code 3.

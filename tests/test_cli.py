@@ -21,6 +21,16 @@ SOLVE_28_5_SHA256 = {
     "csv": "8cf770e9acfe2df903b9574271e0cab8d72354a10cc84dce1f15ae44edcfbafc",
 }
 
+# sha256 of `dimeq equation solve` stdout, one argv per output format.
+SOLVE_SHA256 = {
+    "--n 28 --l 5 --max-n 28 --max-l 5":
+        "eb47519d72ad41846ce92d1a1ac2fd6c1db4cec6d10b94e0061db84148899f22",
+    "--n 28 --l 3 --exclude-trivial --format csv --max-n 28 --max-l 5":
+        "0df39212240ee86b43e33fa12c59b1cabf732cec35e40b4e58c40a3f1638bf80",
+    "--n 20 --l 2 --format text --max-n 28":
+        "45edb3b94606523fa0435bac7d7cb8f84af23d5cf3eafef6216b25be56a2517c",
+}
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -243,6 +253,12 @@ class TestEquationCommands:
         )
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_28_5_SHA256[fmt]
+
+    @pytest.mark.parametrize("argv", sorted(SOLVE_SHA256))
+    def test_solve_digest_is_pinned(self, capsys, argv):
+        rc, out, _ = run_cli(capsys, "equation", "solve", *argv.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_SHA256[argv]
 
     def test_solve_over_default_bound_is_exit_3(self, capsys):
         rc, out, err = run_cli(capsys, "equation", "solve", "--n", "13", "--l", "2")

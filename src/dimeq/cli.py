@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from itertools import chain
 
 from .equation import (
     DEFAULT_MAX_L,
@@ -185,58 +186,38 @@ def cmd_equation_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _orbit_labels(solutions: list[tuple[Partition, ...]]) -> dict[Partition, str]:
-    """str of every orbit the solutions use, each rendered once."""
-    labels: dict[Partition, str] = {}
-    for sol in solutions:
-        for p in sol:
-            if p not in labels:
-                labels[p] = str(p)
-    return labels
-
-
 def _solutions_csv(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
-    labels = _orbit_labels(solutions)
-    dims = {p: p.rep_dim() for p in labels}
+    orbits = dict.fromkeys(chain.from_iterable(solutions))
+    # each orbit's partition,rep_dim cells go through the csv writer once
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "l", "solution_index", "orbit_index", "partition", "rep_dim"])
-    for si, sol in enumerate(solutions):
-        for oi, p in enumerate(sol):
-            writer.writerow([n, l, si, oi, labels[p], dims[p]])
-    return buf.getvalue().rstrip("\n")
-
-
-def _solutions_text(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
-    labels = _orbit_labels(solutions)
-    lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
-    lines += ["  " + " + ".join([labels[p] for p in sol]) for sol in solutions]
+    csv.writer(buf, lineterminator="\n").writerows([str(p), p.rep_dim()] for p in orbits)
+    cells = dict(zip(orbits, buf.getvalue().split("\n")))
+    lines = ["n,l,solution_index,orbit_index,partition,rep_dim"]
+    lines += [f"{n},{l},{si},{oi},{cells[p]}" for si, sol in enumerate(solutions)
+              for oi, p in enumerate(sol)]
     return "\n".join(lines)
 
 
 def cmd_equation_solve(args: argparse.Namespace) -> int:
+    n, l = args.n, args.l
     solutions = enumerate_orbit_solutions(
-        args.n,
-        args.l,
-        exclude_trivial=args.exclude_trivial,
-        max_one_dominant=args.max_one_dominant,
+        n, l, args.exclude_trivial, args.max_one_dominant,
         max_n=_knob(args.max_n, "DIMEQ_MAX_N", DEFAULT_MAX_N),
         max_l=_knob(args.max_l, "DIMEQ_MAX_L", DEFAULT_MAX_L),
     )
     if args.format == "csv":
-        _write(args, _solutions_csv(args.n, args.l, solutions))
-    elif args.format == "text":
-        _write(args, _solutions_text(args.n, args.l, solutions))
+        _write(args, _solutions_csv(n, l, solutions))
+        return 0
+    # each orbit rendered once; str(p) is also p's compact JSON array
+    labels = {p: str(p) for p in dict.fromkeys(chain.from_iterable(solutions))}
+    if args.format == "text":
+        lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
+        lines += ["  " + " + ".join([labels[p] for p in sol]) for sol in solutions]
+        _write(args, "\n".join(lines))
     else:
-        payload = {
-            "n": args.n,
-            "l": args.l,
-            "target": args.n * (args.n - 1) // 2,
-            "count": len(solutions),
-            # a parts tuple dumps as the same JSON array as a list would
-            "solutions": [[p.parts for p in sol] for sol in solutions],
-        }
-        _write(args, _dump(payload))
+        rows = ",".join(["[" + ",".join([labels[p] for p in sol]) + "]" for sol in solutions])
+        _write(args, f'{{"n":{n},"l":{l},"target":{n * (n - 1) // 2},'
+                     f'"count":{len(solutions)},"solutions":[{rows}]}}')
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import InternalError, InvalidInputError, ResourceLimitError
-from .partitions import Partition, dominance_floor, enumerate_partitions
+from .partitions import Partition, dominance_floor
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
 DEFAULT_MAX_N = 12
@@ -74,6 +74,47 @@ def reduce_to_whittaker_form(n: int) -> tuple[int, int, int]:
     return (generic, minimal, target)
 
 
+def _cost_reach(n: int, exclude_trivial: bool) -> list[list[int]]:
+    """reach[c][r]: the bitset of the costs sum_j C(c_j, 2) over partitions of
+    r into parts c_j <= c, by O(n^2) big-int shifts.  exclude_trivial clears
+    bit C(n,2) of reach[n][n]: one column of n boxes, (1^n), alone costs that."""
+    reach = [[1] + [0] * n]
+    for c in range(1, n + 1):
+        row = reach[-1][:]
+        for r in range(c, n + 1):
+            row[r] |= row[r - c] << c * (c - 1) // 2
+        reach.append(row)
+    if exclude_trivial:
+        reach[n][n] &= ~(1 << n * (n - 1) // 2)
+    return reach
+
+
+def _orbits_of_costs(n: int, reach: list[list[int]], wanted: int) -> list[tuple[Partition, int]]:
+    """(orbit, rep_dim) for each orbit of GL_n whose cost is a bit of wanted, sorted
+    by runs descending, which is reverse-lexicographic order of the parts.  The
+    walk adds columns in descending order and enters a branch only if its reach
+    can still land on a wanted cost; each orbit's rep_dim is checked against it."""
+    top = n * (n - 1) // 2
+    out: list[tuple[Partition, int]] = []
+
+    def walk(most: int, left: int, spent: int, cols: tuple[int, ...]) -> None:
+        if most == 1 or not left:  # any columns left are 1-columns, of cost 0
+            p = Partition(cols + (1,) * left).transpose()
+            if p.rep_dim() != top - spent:
+                raise InternalError(f"{p}: rep_dim {p.rep_dim()} != C(n,2) - cost {top - spent}")
+            out.append((p, top - spent))
+            return
+        wanted_here = wanted >> spent
+        for c in range(min(most, left), 0, -1):
+            cost = c * (c - 1) // 2
+            if (reach[c][left - c] << cost) & wanted_here:
+                walk(c, left - c, spent + cost, cols + (c,))
+
+    walk(n, n, 0, ())
+    out.sort(key=lambda pd: pd[0].runs, reverse=True)
+    return out
+
+
 def enumerate_orbit_solutions(
     n: int,
     l: int,
@@ -92,6 +133,11 @@ def enumerate_orbit_solutions(
     dominates the all-twos floor (a no-op in practice — no solution can
     afford two such orbits — but checkable rather than assumed).
 
+    The search runs over dimensions, not partitions: with column lengths
+    lam'_j, rep_dim(lam) = C(n,2) - sum_j C(lam'_j, 2), so the achievable
+    dimensions are a knapsack over column sizes (_cost_reach).  Only the
+    orbits whose dimension some solution uses are built (_orbits_of_costs).
+
     Refuses searches beyond (max_n, max_l) with ResourceLimitError.
     """
     if n < 2:
@@ -103,25 +149,16 @@ def enumerate_orbit_solutions(
             f"solution search n={n}, l={l} exceeds bounds max_n={max_n}, max_l={max_l}"
         )
 
-    alphabet = list(enumerate_partitions(n))
-    if exclude_trivial:
-        alphabet = [p for p in alphabet if not p.is_trivial_orbit()]
-    # An orbit is named by its alphabet index, its reverse-lexicographic
-    # rank: ascending indices are descending parts, in a solution and
-    # across solutions alike.  Orbits of equal dimension are interchangeable
-    # in the sum, so the search runs over multisets of distinct dimensions
-    # and expands each one inside its equal-dimension groups afterwards.
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(alphabet):
-        groups.setdefault(p.rep_dim(), []).append(i)
-    dims = sorted(groups)
     target = n * (n - 1) // 2
+    reach = _cost_reach(n, exclude_trivial)
+    dims = [target - c for c in range(target, -1, -1) if reach[n][n] >> c & 1]
+    reachable = set(dims)
     found: list[tuple[int, ...]] = []
 
     def rec(start: int, slots: int, need: int, acc: tuple[int, ...]) -> None:
         if slots == 1:
             # the caller's d * slots <= need leaves need >= d: still ascending
-            if need in groups:
+            if need in reachable:
                 found.append(acc + (need,))
             return
         maxd = dims[-1]
@@ -133,15 +170,20 @@ def enumerate_orbit_solutions(
                 continue
             rec(k, slots - 1, need - d, acc + (d,))
 
-    if alphabet:
-        rec(0, l, target, ())
+    rec(0, l, target, ())
 
+    # An orbit is named by its alphabet index, its reverse-lexicographic rank:
+    # ascending indices are descending parts, in a solution and across solutions
+    # alike.  Each multiset of dimensions expands inside its equal-dimension groups.
+    wanted = sum(1 << (target - d) for d in {d for dimset in found for d in dimset})
+    orbits = _orbits_of_costs(n, reach, wanted)
+    alphabet = [p for p, _ in orbits]
+    groups: dict[int, list[int]] = {}
+    for i, (_, d) in enumerate(orbits):
+        groups.setdefault(d, []).append(i)
     if max_one_dominant:
-        # tested once per orbit that some solution uses: every orbit in a
-        # dimension group that a found multiset draws on
         floor = dominance_floor(n)
-        used = {d for dimset in found for d in dimset}
-        dominant = {i: alphabet[i].dominates(floor) for d in used for i in groups[d]}
+        dominant = [p.dominates(floor) for p in alphabet]
     solutions: list[tuple[int, ...]] = []
     for dimset in found:
         picks = [
@@ -154,4 +196,4 @@ def enumerate_orbit_solutions(
                 continue
             solutions.append(idxs)
     solutions.sort()
-    return [tuple(alphabet[i] for i in idxs) for idxs in solutions]
+    return [tuple([alphabet[i] for i in idxs]) for idxs in solutions]

@@ -159,7 +159,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

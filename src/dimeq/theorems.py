@@ -137,9 +137,10 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """
     if n < 2:
         raise InvalidInputError(f"verify_lemma1 needs n >= 2, got {n}")
-    rects = [
-        Partition.from_runs([(p, n // p)]) for p in range(n, 1, -1) if n % p == 0
-    ]
+    # divisors paired up to isqrt(n): the large ones descending, then the small
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    ps = [n // d for d in low] + [d for d in reversed(low) if d > 1 and d * d != n]
+    rects = [Partition.from_runs([(p, n // p)]) for p in ps]
     floor = dominance_floor(n)
     bound = n * (n - 1) // 2
     space, violations = _pair_sweep(rects, floor, bound, "rectangle")

@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from dimeq import equation
 from dimeq import (
     Eisenstein,
     ExplicitOrbit,
     Generic,
     IntegralSpec,
+    InternalError,
     InvalidInputError,
     Partition,
     ResourceLimitError,
@@ -18,6 +20,7 @@ from dimeq import (
     check_dim_equation_full,
     dominance_floor,
     enumerate_orbit_solutions,
+    enumerate_partitions,
     minimal_eisenstein,
     reduce_to_whittaker_form,
 )
@@ -220,3 +223,27 @@ class TestSolve:
             enumerate_orbit_solutions(1, 2)
         with pytest.raises(InvalidInputError):
             enumerate_orbit_solutions(4, 0)
+
+
+class TestCostWalk:
+    @pytest.mark.parametrize("exclude_trivial", [False, True])
+    def test_full_cost_set_builds_every_orbit(self, exclude_trivial):
+        # rep_dim = C(n,2) - sum_j C(lam'_j, 2): the knapsack over column sizes
+        # and the walk it prunes, against enumerate_partitions and rep_dim
+        for n in range(2, 31):
+            reach = equation._cost_reach(n, exclude_trivial)
+            got: dict[int, list[Partition]] = {}
+            for p, d in equation._orbits_of_costs(n, reach, reach[n][n]):
+                got.setdefault(d, []).append(p)
+            want: dict[int, list[Partition]] = {}
+            for p in enumerate_partitions(n):
+                if not (exclude_trivial and p.is_trivial_orbit()):
+                    want.setdefault(p.rep_dim(), []).append(p)
+            assert got == want, (n, exclude_trivial)
+
+    def test_wrong_cost_is_an_internal_error(self, monkeypatch):
+        rep_dim = Partition.rep_dim
+        monkeypatch.setattr(Partition, "rep_dim", lambda p: rep_dim(p) + (p.n == 4))
+        assert enumerate_orbit_solutions(3, 2)
+        with pytest.raises(InternalError, match="cost"):
+            enumerate_orbit_solutions(4, 2)

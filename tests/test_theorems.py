@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -290,6 +291,29 @@ class TestVerifyLemma1:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidInputError):
             verify_lemma1(1)
+
+    def test_rectangles_match_the_linear_divisor_scan(self, monkeypatch):
+        # the rectangles reach the pair sweep in the order of the O(n) scan
+        seen = []
+
+        def spy(orbits, *args):
+            seen.append(orbits)
+            return _pair_sweep(orbits, *args)
+
+        monkeypatch.setattr(dimeq.theorems, "_pair_sweep", spy)
+        for n in range(2, 3001):
+            rects = [Partition((p,) * (n // p)) for p in range(n, 1, -1) if n % p == 0]
+            r = verify_lemma1(n)
+            assert seen.pop() == rects, n
+            k = len(rects)
+            assert r.parameters == {"n": n, "rectangles": k}, n
+            assert r.space_size == k * (k + 1) // 2 + k + 1 and r.passed, n
+
+    def test_huge_n_pairs_divisors_up_to_its_square_root(self):
+        start = time.perf_counter()
+        r = verify_lemma1(10**12)
+        assert time.perf_counter() - start < 5  # the linear scan would take hours
+        assert r.passed and r.parameters == {"n": 10**12, "rectangles": 168}
 
 
 class TestVerifyProp3:

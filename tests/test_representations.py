@@ -284,3 +284,123 @@ class TestJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             rep_from_json({"kind": "mystery", "n": 3})
+
+
+def _raised(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestErrorMessages:
+    """The exception type and exact message of each malformed descriptor,
+    built directly and read from the wire."""
+
+    RUNS = "run entries must be integers, got "
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Generic(0), "Generic needs n >= 1, got 0"),
+            (lambda: Generic(True), RUNS + "(True, 1)"),
+            (lambda: Generic(2.0), RUNS + "(2.0, 1)"),
+            (lambda: T(0), "TrivialConstituent needs n >= 1, got 0"),
+            (lambda: T(True), RUNS + "(1, True)"),
+            (lambda: T(2.0), RUNS + "(1, 2.0)"),
+            (lambda: Speh(0, 3), "Speh needs p, q >= 1, got p=0, q=3"),
+            (lambda: Speh(True, 3), RUNS + "(True, 3)"),
+            (lambda: Speh(2.0, 3), RUNS + "(2.0, 3)"),
+            (lambda: Speh(2, 0), "Speh needs p, q >= 1, got p=2, q=0"),
+            (lambda: Speh(2, True), RUNS + "(2, True)"),
+            (lambda: Speh(2, 2.0), RUNS + "(2, 2.0)"),
+            (lambda: Speh(True, 0), "Speh needs p, q >= 1, got p=True, q=0"),
+            (lambda: Eisenstein((3,), (Generic(3),)), "Eisenstein needs at least 2 blocks, got [3]"),
+            (lambda: Eisenstein((3, 0), (Generic(3), T(1))), "blocks must be positive, got [3, 0]"),
+            # positivity is checked over all blocks before the order
+            (
+                lambda: Eisenstein((2, 1, 3, 0), (T(2), T(1), T(3), T(1))),
+                "blocks must be positive, got [2, 1, 3, 0]",
+            ),
+            (lambda: Eisenstein((1, 2), (T(1), T(2))), "blocks must be weakly decreasing, got [1, 2]"),
+            (lambda: Eisenstein((3, 2), (Generic(3),)), "2 blocks but 1 constituents"),
+            (
+                lambda: Eisenstein((3, 2), (Generic(3), Generic(3))),
+                "constituent of rank 3 attached to block of size 2",
+            ),
+        ],
+    )
+    def test_library_path(self, build, message):
+        assert _raised(build) == (InvalidInputError, message)
+
+    def test_library_type_errors_keep_their_order(self):
+        # a block that does not compare with 1 fails before any order check
+        kind, message = _raised(lambda: Eisenstein((1, 2, None), (T(1), T(2), T(1))))
+        assert kind is TypeError and "'<' not supported" in message
+
+    @pytest.mark.parametrize(
+        "rep,message",
+        [
+            ({"kind": "generic", "n": 0}, "bad rank 0 for kind 'generic'"),
+            ({"kind": "generic", "n": True}, 'generic needs an integer "n", got True'),
+            ({"kind": "generic", "n": 2.0}, 'generic needs an integer "n", got 2.0'),
+            ({"kind": "trivial", "n": 0}, "bad rank 0 for kind 'trivial'"),
+            ({"kind": "trivial", "n": True}, 'trivial needs an integer "n", got True'),
+            ({"kind": "trivial", "n": 2.0}, 'trivial needs an integer "n", got 2.0'),
+            ({"kind": "speh", "p": 0, "q": 3}, "Speh needs p, q >= 1, got p=0, q=3"),
+            ({"kind": "speh", "p": True, "q": 3}, 'speh needs an integer "p", got True'),
+            ({"kind": "speh", "p": 2.0, "q": 3}, 'speh needs an integer "p", got 2.0'),
+            ({"kind": "speh", "p": 2, "q": 0}, "Speh needs p, q >= 1, got p=2, q=0"),
+            ({"kind": "speh", "p": 2, "q": True}, 'speh needs an integer "q", got True'),
+            ({"kind": "speh", "p": 2, "q": 2.0}, 'speh needs an integer "q", got 2.0'),
+            (
+                {"kind": "eisenstein", "blocks": [6], "constituents": [{"kind": "generic"}]},
+                "Eisenstein needs at least 2 blocks, got [6]",
+            ),
+            # a block below 1 is caught by the constituent read against it
+            (
+                {"kind": "eisenstein", "blocks": [6, 0],
+                 "constituents": [{"kind": "generic"}, {"kind": "generic"}]},
+                "bad rank 0 for kind 'generic'",
+            ),
+            (
+                {"kind": "eisenstein", "blocks": [2, 4],
+                 "constituents": [{"kind": "generic"}, {"kind": "generic"}]},
+                "blocks must be weakly decreasing, got [2, 4]",
+            ),
+            (
+                {"kind": "eisenstein", "blocks": [4, 2], "constituents": [{"kind": "generic"}]},
+                "2 blocks but 1 constituents",
+            ),
+            (
+                {"kind": "eisenstein", "blocks": [4, 2],
+                 "constituents": [{"kind": "speh", "p": 2, "q": 1}, {"kind": "generic"}]},
+                "representation has rank 2, expected 4: {'kind': 'speh', 'p': 2, 'q': 1}",
+            ),
+            (
+                {"kind": "eisenstein", "blocks": [3.0, 3],
+                 "constituents": [{"kind": "generic"}, {"kind": "generic"}]},
+                'eisenstein needs an integer "blocks", got 3.0',
+            ),
+            (
+                {"kind": "generic", "n": 5},
+                "representation has rank 5, expected 6: {'kind': 'generic', 'n': 5}",
+            ),
+            (
+                {"kind": "trivial", "n": 7},
+                "representation has rank 7, expected 6: {'kind': 'trivial', 'n': 7}",
+            ),
+            (
+                {"kind": "speh", "p": 2, "q": 2},
+                "representation has rank 4, expected 6: {'kind': 'speh', 'p': 2, 'q': 2}",
+            ),
+        ],
+    )
+    def test_json_path(self, rep, message):
+        spec = {"n": 6, "representations": [rep, {"kind": "generic"}]}
+        assert _raised(lambda: spec_from_json(spec)) == (InvalidInputError, message)
+
+    def test_json_rank_from_context_must_be_an_integer(self):
+        assert _raised(lambda: rep_from_json({"kind": "generic"}, expected_rank=2.0)) == (
+            InvalidInputError,
+            'generic needs an integer "n", got 2.0',
+        )

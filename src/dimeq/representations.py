@@ -17,6 +17,14 @@ from .errors import InternalError, InvalidInputError, echo
 from .partitions import Partition
 
 
+def _leaf_orbit(value: int, count: int) -> Partition:
+    """The orbit (value^count) of a leaf whose constructor checked both >= 1.
+    Only a value other than an exact int (a bool, a float) is checked again."""
+    if value.__class__ is int and count.__class__ is int:
+        return Partition._of_runs(((value, count),), value * count, count)
+    return Partition.from_runs([(value, count)])
+
+
 @dataclass(frozen=True)
 class Generic:
     """A representation with full Whittaker support on GL_n; orbit (n)."""
@@ -27,7 +35,7 @@ class Generic:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidInputError(f"Generic needs n >= 1, got {self.n}")
-        object.__setattr__(self, "orbit", Partition.from_runs([(self.n, 1)]))
+        object.__setattr__(self, "orbit", _leaf_orbit(self.n, 1))
 
     def to_json(self) -> dict:
         return {"kind": "generic", "n": self.n}
@@ -49,7 +57,7 @@ class Speh:
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1:
             raise InvalidInputError(f"Speh needs p, q >= 1, got p={self.p}, q={self.q}")
-        object.__setattr__(self, "orbit", Partition.from_runs([(self.p, self.q)]))
+        object.__setattr__(self, "orbit", _leaf_orbit(self.p, self.q))
 
     def to_json(self) -> dict:
         return {"kind": "speh", "p": self.p, "q": self.q}
@@ -68,7 +76,7 @@ class TrivialConstituent:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidInputError(f"TrivialConstituent needs n >= 1, got {self.n}")
-        object.__setattr__(self, "orbit", Partition.from_runs([(1, self.n)]))
+        object.__setattr__(self, "orbit", _leaf_orbit(1, self.n))
 
     def to_json(self) -> dict:
         return {"kind": "trivial", "n": self.n}
@@ -106,25 +114,27 @@ class Eisenstein:
     orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "constituents", tuple(self.constituents))
-        if len(self.blocks) < 2:
-            raise InvalidInputError(
-                f"Eisenstein needs at least 2 blocks, got {echo(list(self.blocks))}"
-            )
-        if any(b < 1 for b in self.blocks):
-            raise InvalidInputError(f"blocks must be positive, got {echo(list(self.blocks))}")
-        for i in range(len(self.blocks) - 1):
-            if self.blocks[i] < self.blocks[i + 1]:
-                raise InvalidInputError(
-                    f"blocks must be weakly decreasing, got {echo(list(self.blocks))}"
-                )
-        if len(self.constituents) != len(self.blocks):
-            raise InvalidInputError(
-                f"{len(self.blocks)} blocks but {len(self.constituents)} constituents"
-            )
+        blocks, constituents = self.blocks, self.constituents
+        if blocks.__class__ is not tuple:
+            object.__setattr__(self, "blocks", blocks := tuple(blocks))
+        if constituents.__class__ is not tuple:
+            object.__setattr__(self, "constituents", constituents := tuple(constituents))
+        if len(blocks) < 2:
+            raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
+        # one walk: a block below 1 anywhere is reported before any increase
+        decreasing, prev = True, blocks[0]
+        for b in blocks:
+            if b < 1:
+                raise InvalidInputError(f"blocks must be positive, got {echo(list(blocks))}")
+            if prev < b:
+                decreasing = False
+            prev = b
+        if not decreasing:
+            raise InvalidInputError(f"blocks must be weakly decreasing, got {echo(list(blocks))}")
+        if len(constituents) != len(blocks):
+            raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
         total = None
-        for b, c in zip(self.blocks, self.constituents):
+        for b, c in zip(blocks, constituents):
             orbit = attached_orbit(c)
             if orbit.n != b:
                 raise InvalidInputError(
@@ -298,6 +308,8 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         if _wire_int(n, "n", kind) < 1:
             raise InvalidInputError(f"bad rank {echo(n)} for kind {echo(kind)}")
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
+        if n is expected_rank:
+            return rep  # the rank came from context
     elif kind == "speh":
         rep = Speh(_wire_int(obj.get("p"), "p", kind), _wire_int(obj.get("q"), "q", kind))
     elif kind == "orbit":
@@ -313,24 +325,21 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
                 f"eisenstein needs \"blocks\" and \"constituents\" lists, got {echo(obj)}"
             )
         for b in blocks:
-            _wire_int(b, "blocks", kind)
+            if b.__class__ is not int:
+                _wire_int(b, "blocks", kind)
         if len(blocks) != len(constituents):
-            raise InvalidInputError(
-                f"{len(blocks)} blocks but {len(constituents)} constituents"
-            )
+            raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
         if depth == MAX_NESTING:
             raise InvalidInputError(
                 f"eisenstein constituents nest more than {MAX_NESTING} levels deep"
             )
-        reps = tuple(
-            _rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)
-        )
+        reps = tuple([_rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)])
         rep = Eisenstein(blocks=tuple(blocks), constituents=reps)
     else:
         raise InvalidInputError(f"unknown representation kind {echo(kind)}")
-    if expected_rank is not None and rank(rep) != expected_rank:
+    if expected_rank is not None and rep.orbit.n != expected_rank:
         raise InvalidInputError(
-            f"representation has rank {rank(rep)}, expected {expected_rank}: {echo(obj)}"
+            f"representation has rank {rep.orbit.n}, expected {expected_rank}: {echo(obj)}"
         )
     return rep
 
@@ -348,9 +357,7 @@ def spec_from_json(obj: object) -> IntegralSpec:
     reps = obj.get("representations")
     if not isinstance(reps, list):
         raise InvalidInputError("integral spec needs a \"representations\" list")
-    return IntegralSpec(
-        n=n, representations=tuple(rep_from_json(r, expected_rank=n) for r in reps)
-    )
+    return IntegralSpec(n, tuple([_rep_from_json(r, n, 0) for r in reps]))
 
 
 def spec_to_json(spec: IntegralSpec) -> dict:

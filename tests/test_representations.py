@@ -1,5 +1,6 @@
 """Representation descriptors, attached orbits, and the two dimension routes."""
 
+import itertools
 import json
 
 import pytest
@@ -404,3 +405,66 @@ class TestErrorMessages:
             InvalidInputError,
             'generic needs an integer "n", got 2.0',
         )
+
+
+def _leaves(b):
+    """Leaf descriptors of rank b, each with its orbit's parts written out."""
+    out = [(T(b), [1] * b), (Generic(b), [b])]
+    return out + [(Speh(p, b // p), [p] * (b // p)) for p in range(1, b + 1) if b % p == 0]
+
+
+def _census_grammar(n):
+    """The census's descriptors of rank n, each with the parts lists its
+    orbit is built from: leaves, every orbit, and Eisenstein data with two
+    or three blocks over leaf constituents."""
+    out = [(rep, [parts]) for rep, parts in _leaves(n)]
+    out += [(ExplicitOrbit(lam), [list(lam.parts)]) for lam in enumerate_partitions(n)]
+    for blocks in enumerate_partitions(n):
+        if blocks.length in (2, 3):
+            for choice in itertools.product(*(_leaves(b) for b in blocks.parts)):
+                rep = Eisenstein(blocks.parts, tuple(r for r, _ in choice))
+                out.append((rep, [parts for _, parts in choice]))
+    return out
+
+
+def _without_ranks(obj):
+    """The wire form with "n" dropped from generic and trivial kinds, so
+    their ranks come from context."""
+    if isinstance(obj, list):
+        return [_without_ranks(x) for x in obj]
+    if isinstance(obj, dict):
+        drop = obj.get("kind") in ("generic", "trivial")
+        return {k: _without_ranks(v) for k, v in obj.items() if not (drop and k == "n")}
+    return obj
+
+
+def _shape(p):
+    return p.runs, p.n, p.length
+
+
+class TestCensusGrammar:
+    """Orbits built without re-checking agree with the checked constructor."""
+
+    def test_leaf_orbits_match_their_parts(self):
+        for b in range(1, 9):
+            for rep, parts in _leaves(b):
+                assert _shape(rep.orbit) == _shape(Partition(parts)), rep
+
+    def test_eisenstein_orbit_is_the_componentwise_sum(self):
+        for n in range(2, 9):
+            for rep, lists in _census_grammar(n):
+                summed = [sum(col) for col in itertools.zip_longest(*lists, fillvalue=0)]
+                assert _shape(rep.orbit) == _shape(Partition(summed)), rep
+
+    def test_specs_round_trip(self):
+        for n in range(2, 9):
+            for rep, _ in _census_grammar(n):
+                if rep.orbit.is_trivial_orbit():
+                    continue
+                spec = IntegralSpec(n, (rep, Generic(n)))
+                for wire in (spec_to_json(spec), _without_ranks(spec_to_json(spec))):
+                    back = spec_from_json(wire)
+                    assert back == spec
+                    assert [_shape(r.orbit) for r in back.representations] == [
+                        _shape(r.orbit) for r in spec.representations
+                    ]

@@ -22,7 +22,6 @@ import json
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .equation import EquationReport, check_dim_equation
@@ -281,6 +280,12 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
     return cases
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, written "p/q" (den > 0)."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """Three checks that the near-rectangular reduction is sound at this n.
 
@@ -358,31 +363,30 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
                     }
                 )
 
-        # (iii) window margin for a >= 3
+        # (iii) window margin for a >= 3; fractions (denominators > 0) cross-multiplied
         for a in range(3, m1 + 1):
-            left = Fraction(a * m1 - (a + 1), a - 1)
-            right = Fraction((a - 1) * m1 - a, a - 2)
-            if not (left < n <= right):
+            left, left_den = a * m1 - (a + 1), a - 1
+            if not (left < n * left_den and n * (a - 2) <= (a - 1) * m1 - a):
                 continue
             space += 1
-            needed = Fraction((3 * a - 2) * (m1 - 1), 3 * a - 4)
-            if n < needed:
+            needed, needed_den = (3 * a - 2) * (m1 - 1), 3 * a - 4
+            if n * needed_den < needed:
                 violations.append(
                     {
                         "branch": "iii",
                         "a": a,
                         "m1": m1,
                         "n": n,
-                        "needed": f"{needed.numerator}/{needed.denominator}",
+                        "needed": _ratio(needed, needed_den),
                     }
                 )
-            if left < needed:
+            if left * needed_den < needed * left_den:
                 literal_notes.append(
                     {
                         "a": a,
                         "m1": m1,
-                        "window_left": f"{left.numerator}/{left.denominator}",
-                        "needed": f"{needed.numerator}/{needed.denominator}",
+                        "window_left": _ratio(left, left_den),
+                        "needed": _ratio(needed, needed_den),
                     }
                 )
 

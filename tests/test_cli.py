@@ -3,7 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -665,6 +668,17 @@ class TestStartup:
         assert run_cli(capsys, *argv)[0] == 0
         assert len(added_to) == len(first) > 0
         assert not any(a is b for a in first for b in added_to)
+
+    def test_import_leaves_out_rational_arithmetic(self):
+        # all arithmetic is exact integers; fractions (which imports decimal)
+        # would only add to every run's start-up
+        code = "import sys, dimeq.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) for `dimeq ARGV` at

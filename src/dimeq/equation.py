@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
-from .errors import InternalError, InvalidInputError, ResourceLimitError
+from .errors import InternalError, InvalidInputError, ResourceLimitError, need_int
 from .partitions import Partition, dominance_floor
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
@@ -40,8 +40,7 @@ def _report(spec: IntegralSpec, rhs: int) -> EquationReport:
 
 def check_dim_equation(spec: IntegralSpec) -> EquationReport:
     """sum of rep dims == n(n-1)/2, the reduced (mirabolic) budget."""
-    if spec.n < 2:
-        raise InvalidInputError(f"dimension equation needs n >= 2, got {spec.n}")
+    need_int(spec.n, 2, "dimension equation")
     return _report(spec, spec.n * (spec.n - 1) // 2)
 
 
@@ -62,8 +61,7 @@ def reduce_to_whittaker_form(n: int) -> tuple[int, int, int]:
     the budget.  The minimal Eisenstein representation contributes n-1, the
     smallest nonzero dimension.  Both identities are checked.
     """
-    if n < 2:
-        raise InvalidInputError(f"reduce_to_whittaker_form needs n >= 2, got {n}")
+    need_int(n, 2, "reduce_to_whittaker_form")
     generic = Partition((n,)).rep_dim()
     minimal = dim_rep(minimal_eisenstein(n))
     target = n * (n - 1) // 2
@@ -140,10 +138,8 @@ def enumerate_orbit_solutions(
 
     Refuses searches beyond (max_n, max_l) with ResourceLimitError.
     """
-    if n < 2:
-        raise InvalidInputError(f"solution search needs n >= 2, got {n}")
-    if l < 1:
-        raise InvalidInputError(f"solution search needs l >= 1, got {l}")
+    need_int(n, 2, "solution search")
+    need_int(l, 1, "solution search", "l")
     if n > max_n or l > max_l:
         raise ResourceLimitError(
             f"solution search n={n}, l={l} exceeds bounds max_n={max_n}, max_l={max_l}"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how their messages quote input."""
+"""Exception types, how their messages quote input, and the integer-argument check."""
 
 import reprlib
 
@@ -42,3 +42,12 @@ def echo(value: object) -> str:
     if len(text) > ECHO_LIMIT:
         text = text[: ECHO_LIMIT - 3] + "..."
     return text
+
+
+def need_int(value: object, low: int | None, who: str, name: str = "n") -> int:
+    """value, if it is an int (not a bool) and, unless low is None, at least low."""
+    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise InvalidInputError(f"{who} needs an integer {name}, got {echo(value)}")
+    if low is not None and value < low:
+        raise InvalidInputError(f"{who} needs {name} >= {low}, got {value}")
+    return value

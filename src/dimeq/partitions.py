@@ -12,7 +12,7 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import InternalError, InvalidInputError, echo
+from .errors import InternalError, InvalidInputError, echo, need_int
 
 
 class Dominance(enum.Enum):
@@ -356,13 +356,10 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> Iterator[Part
     so one more part is freed from the prefix and the refill retried.  Each
     step costs O(#runs) plus the parts freed; nothing is re-validated.
     """
-    if n < 1:
-        raise InvalidInputError(f"can only enumerate partitions of n >= 1, got {n}")
+    need_int(n, 1, "enumerate_partitions")
     if max_length is None:
         max_length = n
-    if max_length < 0:
-        raise InvalidInputError(f"max_length must be >= 0, got {max_length}")
-    if max_length == 0:
+    if need_int(max_length, 0, "enumerate_partitions", "max_length") == 0:
         return
     runs = [(n, 1)]
     length = 1
@@ -400,8 +397,7 @@ def dominance_floor(n: int) -> Partition:
     dimension already exceeds half the generic orbit dimension.  It is the
     threshold against which "large" orbits are tested.
     """
-    if n < 2:
-        raise InvalidInputError(f"dominance_floor needs n >= 2, got {n}")
+    need_int(n, 2, "dominance_floor")
     return Partition.from_runs([(2, n // 2)] + [(1, 1)] * (n % 2))
 
 

@@ -13,16 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import InternalError, InvalidInputError, echo
+from .errors import InternalError, InvalidInputError, echo, need_int
 from .partitions import Partition
 
 
 def _leaf_orbit(value: int, count: int) -> Partition:
-    """The orbit (value^count) of a leaf whose constructor checked both >= 1.
-    Only a value other than an exact int (a bool, a float) is checked again."""
-    if value.__class__ is int and count.__class__ is int:
-        return Partition._of_runs(((value, count),), value * count, count)
-    return Partition.from_runs([(value, count)])
+    """The orbit (value^count) of a leaf whose constructor checked both."""
+    return Partition._of_runs(((value, count),), value * count, count)
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,7 @@ class Generic:
     orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInputError(f"Generic needs n >= 1, got {self.n}")
-        object.__setattr__(self, "orbit", _leaf_orbit(self.n, 1))
+        object.__setattr__(self, "orbit", _leaf_orbit(need_int(self.n, 1, "Generic"), 1))
 
     def to_json(self) -> dict:
         return {"kind": "generic", "n": self.n}
@@ -55,6 +50,8 @@ class Speh:
     orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        need_int(self.p, None, "Speh", "p")
+        need_int(self.q, None, "Speh", "q")
         if self.p < 1 or self.q < 1:
             raise InvalidInputError(f"Speh needs p, q >= 1, got p={self.p}, q={self.q}")
         object.__setattr__(self, "orbit", _leaf_orbit(self.p, self.q))
@@ -74,9 +71,7 @@ class TrivialConstituent:
     orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInputError(f"TrivialConstituent needs n >= 1, got {self.n}")
-        object.__setattr__(self, "orbit", _leaf_orbit(1, self.n))
+        object.__setattr__(self, "orbit", _leaf_orbit(1, need_int(self.n, 1, "TrivialConstituent")))
 
     def to_json(self) -> dict:
         return {"kind": "trivial", "n": self.n}
@@ -121,10 +116,10 @@ class Eisenstein:
             object.__setattr__(self, "constituents", constituents := tuple(constituents))
         if len(blocks) < 2:
             raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
-        # one walk: a block below 1 anywhere is reported before any increase
+        # one walk: a block that is not an int or below 1 is reported before any increase
         decreasing, prev = True, blocks[0]
         for b in blocks:
-            if b < 1:
+            if need_int(b, None, "Eisenstein", "block") < 1:
                 raise InvalidInputError(f"blocks must be positive, got {echo(list(blocks))}")
             if prev < b:
                 decreasing = False
@@ -219,8 +214,7 @@ def minimal_eisenstein(n: int) -> Eisenstein:
     2(n-1); its representation dimension n-1 is the smallest nonzero value
     on GL_n.
     """
-    if n < 2:
-        raise InvalidInputError(f"minimal_eisenstein needs n >= 2, got {n}")
+    need_int(n, 2, "minimal_eisenstein")
     return Eisenstein(
         blocks=(n - 1, 1),
         constituents=(TrivialConstituent(n - 1), TrivialConstituent(1)),
@@ -241,8 +235,7 @@ class IntegralSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "representations", tuple(self.representations))
-        if self.n < 1:
-            raise InvalidInputError(f"IntegralSpec needs n >= 1, got {self.n}")
+        need_int(self.n, 1, "IntegralSpec")
         if not self.representations:
             raise InvalidInputError("IntegralSpec needs at least one representation")
         for i, rep in enumerate(self.representations):
@@ -279,13 +272,6 @@ class IntegralSpec:
 MAX_NESTING = 100
 
 
-def _wire_int(value: object, field: str, kind: str) -> int:
-    """value, if it is a JSON integer; bools and floats are rejected."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{kind} needs an integer \"{field}\", got {echo(value)}")
-    return value
-
-
 def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescriptor:
     """Build a descriptor from wire-format JSON.
 
@@ -305,13 +291,14 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         n = obj.get("n", expected_rank)
         if n is None:
             raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
-        if _wire_int(n, "n", kind) < 1:
+        if need_int(n, None, kind, '"n"') < 1:
             raise InvalidInputError(f"bad rank {echo(n)} for kind {echo(kind)}")
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
         if n is expected_rank:
             return rep  # the rank came from context
     elif kind == "speh":
-        rep = Speh(_wire_int(obj.get("p"), "p", kind), _wire_int(obj.get("q"), "q", kind))
+        p = need_int(obj.get("p"), None, kind, '"p"')
+        rep = Speh(p, need_int(obj.get("q"), None, kind, '"q"'))
     elif kind == "orbit":
         parts = obj.get("parts")
         if not isinstance(parts, list):
@@ -325,8 +312,7 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
                 f"eisenstein needs \"blocks\" and \"constituents\" lists, got {echo(obj)}"
             )
         for b in blocks:
-            if b.__class__ is not int:
-                _wire_int(b, "blocks", kind)
+            need_int(b, None, kind, '"blocks"')
         if len(blocks) != len(constituents):
             raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
         if depth == MAX_NESTING:
@@ -353,7 +339,7 @@ def spec_from_json(obj: object) -> IntegralSpec:
     """Build an IntegralSpec from {"n": ..., "representations": [...]}."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"integral spec must be a JSON object, got {echo(obj)}")
-    n = _wire_int(obj.get("n"), "n", "integral spec")
+    n = need_int(obj.get("n"), None, "integral spec", '"n"')
     reps = obj.get("representations")
     if not isinstance(reps, list):
         raise InvalidInputError("integral spec needs a \"representations\" list")

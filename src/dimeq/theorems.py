@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InternalError, InvalidInputError, ResourceLimitError, echo
+from .errors import InternalError, InvalidInputError, ResourceLimitError, echo, need_int
 from .partitions import (
     Dominance,
     EpsilonVector,
@@ -134,8 +134,7 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     Also checks the mechanism: every such rectangle dominates the all-twos
     floor, whose orbit dimension already exceeds (n^2-n)/2.
     """
-    if n < 2:
-        raise InvalidInputError(f"verify_lemma1 needs n >= 2, got {n}")
+    need_int(n, 2, "verify_lemma1")
     # divisors paired up to isqrt(n): the large ones descending, then the small
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     ps = [n // d for d in low] + [d for d in reversed(low) if d > 1 and d * d != n]
@@ -189,8 +188,7 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     compared, which covers every pair; individual pairs are revisited only
     when that minimum exposes a violation.
     """
-    if n < 2:
-        raise InvalidInputError(f"verify_lemma2 needs n >= 2, got {n}")
+    need_int(n, 2, "verify_lemma2")
     lams = sorted(
         (p for p in enumerate_partitions(n) if not p.is_trivial_orbit()),
         key=lambda p: p.length,
@@ -266,9 +264,8 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
     the result can be empty.  An admissible candidate always lies in its
     a-window (see Lemma2Case).
     """
-    if n < 2:
-        raise InvalidInputError(f"lemma2_reduction_cases needs n >= 2, got {n}")
-    if not 2 <= m1 <= n:
+    need_int(n, 2, "lemma2_reduction_cases")
+    if not 2 <= need_int(m1, None, "lemma2_reduction_cases", "m1") <= n:
         raise InvalidInputError(f"m1 must be in [2, n], got m1={m1}, n={n}")
     s = n - m1 + 1
     cases: list[Lemma2Case] = []
@@ -304,8 +301,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     windows passes; such corners are reported in
     parameters["literal_side_inequality_failures"], not as counterexamples.
     """
-    if n < 2:
-        raise InvalidInputError(f"verify_lemma2_reduction needs n >= 2, got {n}")
+    need_int(n, 2, "verify_lemma2_reduction")
     space = 0
     violations: list[dict] = []
     literal_notes: list[dict] = []
@@ -400,8 +396,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """Any two orbits of length at most n/2 have rep dims summing past
     n(n-1)/2, and each such orbit dominates the all-twos floor."""
-    if n < 2:
-        raise InvalidInputError(f"verify_prop3 needs n >= 2, got {n}")
+    need_int(n, 2, "verify_prop3")
     lams = list(enumerate_partitions(n, max_length=n // 2))
     space, violations = _pair_sweep(lams, dominance_floor(n), n * (n - 1) // 2, "orbit")
     return _finish(
@@ -413,11 +408,10 @@ def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 
 
 def _check_blocks(caller: str, n: int, m1s: tuple[int, ...]) -> None:
-    """n >= 2, and every trivial block lies in [1, n-1]."""
-    if n < 2:
-        raise InvalidInputError(f"{caller} needs n >= 2, got {n}")
+    """n is an int >= 2, and every trivial block is an int in [1, n-1]."""
+    need_int(n, 2, caller)
     for m in m1s:
-        if not 1 <= m <= n - 1:
+        if not 1 <= need_int(m, None, caller, "block") <= n - 1:
             raise InvalidInputError(f"block {m} outside [1, {n - 1}]")
 
 
@@ -445,8 +439,7 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     """True when l trivial leading blocks are jointly too large for the
     equation: sum(m) >= n(l-1) + 2."""
     m1s = tuple(m1s)
-    if l < 2:
-        raise InvalidInputError(f"check_corollary1 needs l >= 2, got {l}")
+    need_int(l, 2, "check_corollary1", "l")
     if len(m1s) != l:
         raise InvalidInputError(f"expected {l} blocks, got {len(m1s)}")
     _check_blocks("check_corollary1", n, m1s)
@@ -518,10 +511,8 @@ def verify_prop4(
     so no tolerance is needed (any float tolerance down to 0 is satisfied).
     It adds one case to space_size.
     """
-    if n < 4:
-        raise InvalidInputError(f"verify_prop4 needs n >= 4, got {n}")
-    if l < 3:
-        raise InvalidInputError(f"verify_prop4 needs l >= 3, got {l}")
+    need_int(n, 4, "verify_prop4")
+    need_int(l, 3, "verify_prop4", "l")
     if mode not in ("paper", "strict"):
         raise InvalidInputError(f"mode must be 'paper' or 'strict', got {echo(mode)}")
     budget = n * (n - 1) // 2
@@ -578,14 +569,12 @@ def verify_prop5(
     closed form is flagged vacuous rather than evaluated outside its domain.
     An evaluated closed form adds one case to space_size.
     """
-    if n < 4:
-        raise InvalidInputError(f"verify_prop5 needs n >= 4, got {n}")
-    if q < 1 or n % q != 0 or n // q < 2:
+    need_int(n, 4, "verify_prop5")
+    if need_int(q, None, "verify_prop5", "q") < 1 or n % q != 0 or n // q < 2:
         raise InvalidInputError(
             f"q must divide n with quotient >= 2, got n={n}, q={q}"
         )
-    if l < 3:
-        raise InvalidInputError(f"verify_prop5 needs l >= 3, got {l}")
+    need_int(l, 3, "verify_prop5", "l")
     p = n // q
     budget = n * (q - 1) // 2
     required = n - q + 1
@@ -643,6 +632,8 @@ def verify_epsilon_orbit_claim(
     (q-1)p — one nonzero entry short of the threshold — attaches precisely
     (p^q), which is why the threshold is sharp.
     """
+    for name, value in (("n", n), ("p", p), ("q", q)):
+        need_int(value, None, "verify_epsilon_orbit_claim", name)
     if p < 2 or q < 1 or p * q != n:
         raise InvalidInputError(
             f"need n == p*q with p >= 2, got n={n}, p={p}, q={q}"

@@ -297,24 +297,23 @@ class TestErrorMessages:
     """The exception type and exact message of each malformed descriptor,
     built directly and read from the wire."""
 
-    RUNS = "run entries must be integers, got "
-
     @pytest.mark.parametrize(
         "build,message",
         [
             (lambda: Generic(0), "Generic needs n >= 1, got 0"),
-            (lambda: Generic(True), RUNS + "(True, 1)"),
-            (lambda: Generic(2.0), RUNS + "(2.0, 1)"),
+            (lambda: Generic(True), "Generic needs an integer n, got True"),
+            (lambda: Generic(2.0), "Generic needs an integer n, got 2.0"),
             (lambda: T(0), "TrivialConstituent needs n >= 1, got 0"),
-            (lambda: T(True), RUNS + "(1, True)"),
-            (lambda: T(2.0), RUNS + "(1, 2.0)"),
+            (lambda: T(True), "TrivialConstituent needs an integer n, got True"),
+            (lambda: T(2.0), "TrivialConstituent needs an integer n, got 2.0"),
             (lambda: Speh(0, 3), "Speh needs p, q >= 1, got p=0, q=3"),
-            (lambda: Speh(True, 3), RUNS + "(True, 3)"),
-            (lambda: Speh(2.0, 3), RUNS + "(2.0, 3)"),
+            (lambda: Speh(True, 3), "Speh needs an integer p, got True"),
+            (lambda: Speh(2.0, 3), "Speh needs an integer p, got 2.0"),
             (lambda: Speh(2, 0), "Speh needs p, q >= 1, got p=2, q=0"),
-            (lambda: Speh(2, True), RUNS + "(2, True)"),
-            (lambda: Speh(2, 2.0), RUNS + "(2, 2.0)"),
-            (lambda: Speh(True, 0), "Speh needs p, q >= 1, got p=True, q=0"),
+            (lambda: Speh(2, True), "Speh needs an integer q, got True"),
+            (lambda: Speh(2, 2.0), "Speh needs an integer q, got 2.0"),
+            # both fields are type-checked before either range
+            (lambda: Speh(True, 0), "Speh needs an integer p, got True"),
             (lambda: Eisenstein((3,), (Generic(3),)), "Eisenstein needs at least 2 blocks, got [3]"),
             (lambda: Eisenstein((3, 0), (Generic(3), T(1))), "blocks must be positive, got [3, 0]"),
             # positivity is checked over all blocks before the order
@@ -334,9 +333,11 @@ class TestErrorMessages:
         assert _raised(build) == (InvalidInputError, message)
 
     def test_library_type_errors_keep_their_order(self):
-        # a block that does not compare with 1 fails before any order check
-        kind, message = _raised(lambda: Eisenstein((1, 2, None), (T(1), T(2), T(1))))
-        assert kind is TypeError and "'<' not supported" in message
+        # a block that is not an int fails before any order check
+        assert _raised(lambda: Eisenstein((1, 2, None), (T(1), T(2), T(1)))) == (
+            InvalidInputError,
+            "Eisenstein needs an integer block, got None",
+        )
 
     @pytest.mark.parametrize(
         "rep,message",

@@ -53,7 +53,7 @@ print("n=4 nontrivial only:",
       [[str(p) for p in s] for s in enumerate_orbit_solutions(4, 2, exclude_trivial=True)])
 
 # the search refuses to run unbounded; raise the ceiling explicitly if you
-# mean it (the CLI exposes the same knobs as --max-n / DIMEQ_MAX_N)
+# mean it (the CLI exposes the same knobs as --max-n / --max-l)
 try:
     enumerate_orbit_solutions(13, 2)
 except ResourceLimitError as exc:

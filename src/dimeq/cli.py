@@ -30,7 +30,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from collections.abc import Callable
 from itertools import chain
@@ -43,7 +42,7 @@ from .equation import (
     enumerate_orbit_solutions,
     reduce_to_whittaker_form,
 )
-from .errors import InternalError, InvalidInputError, ResourceLimitError, echo
+from .errors import InternalError, InvalidInputError, ResourceLimitError
 from .partitions import EpsilonVector, Partition, partition_from_epsilon
 from .representations import attached_orbit, rep_from_json, spec_from_json
 from .theorems import (
@@ -54,26 +53,6 @@ from .theorems import (
     verdict_to_json,
     verification_sweep,
 )
-
-
-def _knob(flag_value: int | None, env_name: str, default: int) -> int:
-    """A command's knob: flag wins over environment wins over default."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInputError(f"{env_name} must be an integer, got {echo(raw)}") from None
-
-
-def _cex_cap(args: argparse.Namespace) -> int:
-    cap = _knob(args.cex_cap, "DIMEQ_CEX_CAP", DEFAULT_CEX_CAP)
-    if cap < 0:
-        raise InvalidInputError(f"cex-cap must be >= 0, got {cap}")
-    return cap
 
 
 def _dump(payload: object) -> str:
@@ -202,8 +181,7 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
     n, l = args.n, args.l
     solutions = enumerate_orbit_solutions(
         n, l, args.exclude_trivial, args.max_one_dominant,
-        max_n=_knob(args.max_n, "DIMEQ_MAX_N", DEFAULT_MAX_N),
-        max_l=_knob(args.max_l, "DIMEQ_MAX_L", DEFAULT_MAX_L),
+        max_n=args.max_n, max_l=args.max_l,
     )
     if args.format == "csv":
         _write(args, _solutions_csv(n, l, solutions))
@@ -227,7 +205,7 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     v = args.verifier
     mode = {"mode": args.mode} if v.modes else {}
-    report = v.func(*[getattr(args, p) for p in v.params], cex_cap=_cex_cap(args), **mode)
+    report = v.func(*[getattr(args, p) for p in v.params], cex_cap=args.cex_cap, **mode)
     lines = [
         f"{report.statement}: {'PASSED' if report.passed else 'FAILED'} "
         f"(space {report.space_size}, params {json.dumps(report.parameters, sort_keys=True)})"
@@ -239,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    reports = verification_sweep(max_n=args.max_n, cex_cap=_cex_cap(args))
+    reports = verification_sweep(max_n=args.max_n, cex_cap=args.cex_cap)
     all_passed = all(r.passed for r in reports)
     payload = {
         "all_passed": all_passed,
@@ -274,6 +252,7 @@ def cmd_vanish(args: argparse.Namespace) -> int:
 # -- wiring -------------------------------------------------------------------------
 
 _INT = {"type": int}
+_CEX_CAP = {"type": int, "default": DEFAULT_CEX_CAP}
 _REQUIRED_INT = {"type": int, "required": True}
 _SWITCH = {"action": "store_true"}
 
@@ -356,7 +335,9 @@ def _equation_leaves(g: argparse.ArgumentParser) -> None:
           help="generic/minimal dims and the target")
     _leaf(eq, "solve", cmd_equation_solve,
           flags={"--n": _REQUIRED_INT, "--l": _REQUIRED_INT, "--exclude-trivial": _SWITCH,
-                 "--max-one-dominant": _SWITCH, "--max-n": _INT, "--max-l": _INT},
+                 "--max-one-dominant": _SWITCH,
+                 "--max-n": {"type": int, "default": DEFAULT_MAX_N},
+                 "--max-l": {"type": int, "default": DEFAULT_MAX_L}},
           formats=("json", "text", "csv"),
           help="enumerate orbit multisets meeting the target")
 
@@ -367,9 +348,9 @@ def _verify_leaves(g: argparse.ArgumentParser) -> None:
         flags = {f"--{param}": _REQUIRED_INT for param in v.params}
         if v.modes:
             flags["--mode"] = {"choices": v.modes, "default": v.modes[0]}
-        _leaf(ver, name, cmd_verify, flags={**flags, "--cex-cap": _INT}, help=v.help,
+        _leaf(ver, name, cmd_verify, flags={**flags, "--cex-cap": _CEX_CAP}, help=v.help,
               verifier=v)
-    _leaf(ver, "all", cmd_verify_all, flags={"--max-n": _INT, "--cex-cap": _INT},
+    _leaf(ver, "all", cmd_verify_all, flags={"--max-n": _INT, "--cex-cap": _CEX_CAP},
           help="every verifier over its full range")
 
 

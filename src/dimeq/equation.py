@@ -140,6 +140,8 @@ def enumerate_orbit_solutions(
     """
     need_int(n, 2, "solution search")
     need_int(l, 1, "solution search", "l")
+    need_int(max_n, None, "solution search", "max_n")
+    need_int(max_l, None, "solution search", "max_l")
     if n > max_n or l > max_l:
         raise ResourceLimitError(
             f"solution search n={n}, l={l} exceeds bounds max_n={max_n}, max_l={max_l}"

@@ -49,5 +49,9 @@ def need_int(value: object, low: int | None, who: str, name: str = "n") -> int:
     if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise InvalidInputError(f"{who} needs an integer {name}, got {echo(value)}")
     if low is not None and value < low:
-        raise InvalidInputError(f"{who} needs {name} >= {low}, got {value}")
+        try:
+            shown = str(value)
+        except ValueError:  # past CPython's 4,300-digit limit: name its size instead
+            shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        raise InvalidInputError(f"{who} needs {name} >= {low}, got {shown}")
     return value

@@ -135,6 +135,7 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     floor, whose orbit dimension already exceeds (n^2-n)/2.
     """
     need_int(n, 2, "verify_lemma1")
+    need_int(cex_cap, 0, "verify_lemma1", "cex_cap")
     # divisors paired up to isqrt(n): the large ones descending, then the small
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     ps = [n // d for d in low] + [d for d in reversed(low) if d > 1 and d * d != n]
@@ -160,9 +161,9 @@ def verify_lemma1(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 def lemma2_I(lam: Partition, mu: Partition) -> int:
     """Exact positivity margin for an orbit pair.
 
-    I = n + sum_{i<j} m_i m_j - sum_i i*lam_i, where the m's are the parts
-    of mu's transpose.  Positive exactly when orbit_dim(lam) + orbit_dim(mu)
-    exceeds n^2 - n; in fact 2I equals that excess.
+    I = n + rep_dim(mu) - sum_i i*lam_i; rep_dim(mu) is the pair sum
+    sum_{i<j} m_i m_j over the parts m of mu's transpose.  Positive exactly
+    when orbit_dim(lam) + orbit_dim(mu) exceeds n^2 - n; 2I is that excess.
     """
     if lam.n != mu.n:
         raise InvalidInputError(
@@ -170,12 +171,8 @@ def lemma2_I(lam: Partition, mu: Partition) -> int:
         )
     if mu.is_trivial_orbit():
         raise InvalidInputError("lemma2_I requires a nontrivial second partition")
-    n = lam.n
-    m = mu.transpose().parts
-    total = sum(m)
-    pair_sum = (total * total - sum(x * x for x in m)) // 2
     weighted = sum(i * p for i, p in enumerate(lam.parts, start=1))
-    return n + pair_sum - weighted
+    return lam.n + mu.rep_dim() - weighted
 
 
 def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
@@ -189,6 +186,7 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     when that minimum exposes a violation.
     """
     need_int(n, 2, "verify_lemma2")
+    need_int(cex_cap, 0, "verify_lemma2", "cex_cap")
     lams = sorted(
         (p for p in enumerate_partitions(n) if not p.is_trivial_orbit()),
         key=lambda p: p.length,
@@ -288,8 +286,8 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
     (i)   every case partition satisfies the positivity inequality against
           every nontrivial mu with the matching transpose head m1 (for the
-          a=2, p2=0 rectangles, the margin is also recomputed through the
-          alternate pair-sum formula and the two must agree);
+          a=2, p2=0 rectangles, the margin is also recomputed from mu's
+          transpose, apart from lemma2_I's rep_dim, and the two must agree);
     (ii)  every candidate lam (head at most m1-1, length at most n-m1+1)
           dominates some case partition, so the cases really are the floor
           of the search space;
@@ -302,6 +300,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     parameters["literal_side_inequality_failures"], not as counterexamples.
     """
     need_int(n, 2, "verify_lemma2_reduction")
+    need_int(cex_cap, 0, "verify_lemma2_reduction", "cex_cap")
     space = 0
     violations: list[dict] = []
     literal_notes: list[dict] = []
@@ -397,6 +396,7 @@ def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """Any two orbits of length at most n/2 have rep dims summing past
     n(n-1)/2, and each such orbit dominates the all-twos floor."""
     need_int(n, 2, "verify_prop3")
+    need_int(cex_cap, 0, "verify_prop3", "cex_cap")
     lams = list(enumerate_partitions(n, max_length=n // 2))
     space, violations = _pair_sweep(lams, dominance_floor(n), n * (n - 1) // 2, "orbit")
     return _finish(
@@ -513,6 +513,7 @@ def verify_prop4(
     """
     need_int(n, 4, "verify_prop4")
     need_int(l, 3, "verify_prop4", "l")
+    need_int(cex_cap, 0, "verify_prop4", "cex_cap")
     if mode not in ("paper", "strict"):
         raise InvalidInputError(f"mode must be 'paper' or 'strict', got {echo(mode)}")
     budget = n * (n - 1) // 2
@@ -575,6 +576,7 @@ def verify_prop5(
             f"q must divide n with quotient >= 2, got n={n}, q={q}"
         )
     need_int(l, 3, "verify_prop5", "l")
+    need_int(cex_cap, 0, "verify_prop5", "cex_cap")
     p = n // q
     budget = n * (q - 1) // 2
     required = n - q + 1
@@ -638,6 +640,7 @@ def verify_epsilon_orbit_claim(
         raise InvalidInputError(
             f"need n == p*q with p >= 2, got n={n}, p={p}, q={q}"
         )
+    need_int(cex_cap, 0, "verify_epsilon_orbit_claim", "cex_cap")
     target = Partition((p,) * q)
     need = n - q + 1
     space = sum(math.comb(n - 1, zeros) for zeros in range(q - 1))
@@ -726,8 +729,9 @@ def verification_sweep(
     max_n: int | None = None, cex_cap: int = DEFAULT_CEX_CAP
 ) -> list[VerificationReport]:
     """Every registered verifier over its n_range, capped at max_n."""
+    need_int(cex_cap, 0, "verification_sweep", "cex_cap")
     lowest = min(v.n_range[0] for v in VERIFIERS.values())
-    if max_n is not None and max_n < lowest:
+    if max_n is not None and need_int(max_n, None, "verification_sweep", "max_n") < lowest:
         raise InvalidInputError(f"max-n must be >= {lowest}, got {max_n}")
     reports: list[VerificationReport] = []
     for v in VERIFIERS.values():

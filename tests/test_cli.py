@@ -1,4 +1,5 @@
-"""End-to-end CLI contract: bytes, exit codes, files, environment knobs."""
+"""End-to-end CLI contract: bytes, exit codes, files.  Every knob is a flag
+with an argparse default; no environment variable sets one."""
 
 import argparse
 import hashlib
@@ -33,12 +34,6 @@ SOLVE_SHA256 = {
     "--n 20 --l 2 --format text --max-n 28":
         "45edb3b94606523fa0435bac7d7cb8f84af23d5cf3eafef6216b25be56a2517c",
 }
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in ("DIMEQ_MAX_N", "DIMEQ_MAX_L", "DIMEQ_CEX_CAP", "DIMEQ_WORKERS"):
-        monkeypatch.delenv(name, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -273,23 +268,6 @@ class TestEquationCommands:
         )
         assert rc == 0 and json.loads(out)["count"] > 0
 
-    def test_env_raises_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIMEQ_MAX_N", "14")
-        rc, out, _ = run_cli(capsys, "equation", "solve", "--n", "14", "--l", "2")
-        assert rc == 0 and json.loads(out)["n"] == 14
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIMEQ_MAX_N", "14")
-        rc, _, err = run_cli(
-            capsys, "equation", "solve", "--n", "14", "--l", "2", "--max-n", "13"
-        )
-        assert rc == 3 and err.startswith("resource limit:")
-
-    def test_garbage_env_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIMEQ_MAX_N", "plenty")
-        rc, _, err = run_cli(capsys, "equation", "solve", "--n", "4", "--l", "2")
-        assert rc == 2 and err.startswith("error:")
-
 
 class TestVerifyCommands:
     def test_lemma1_json(self, capsys):
@@ -355,10 +333,15 @@ class TestVerifyCommands:
         assert payload["parameters"]["counterexamples_total"] == 8
 
     def test_negative_cex_cap_is_exit_2(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "verify", "lemma1", "--n", "6", "--cex-cap", "-1"
-        )
-        assert rc == 2 and err.startswith("error:")
+        # the library's check, before any sweep
+        rc, out, err = run_cli(capsys, "verify", "lemma1", "--n", "6", "--cex-cap", "-1")
+        assert rc == 2 and out == ""
+        assert err == "error: verify_lemma1 needs cex_cap >= 0, got -1\n"
+
+    def test_all_negative_cex_cap_is_exit_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "all", "--cex-cap", "-1")
+        assert rc == 2 and out == ""
+        assert err == "error: verification_sweep needs cex_cap >= 0, got -1\n"
 
     def test_text_format(self, capsys):
         rc, out, _ = run_cli(
@@ -590,21 +573,26 @@ class TestPlumbing:
         assert run_cli(capsys, "conjecture")[0] == 2
 
     @pytest.mark.parametrize(
-        "name, value, argv",
+        "env",
         [
-            ("DIMEQ_MAX_N", "abc", ("verify", "lemma1", "--n", "5")),
-            ("DIMEQ_CEX_CAP", "-1", ("equation", "solve", "--n", "4", "--l", "2")),
-            ("DIMEQ_MAX_L", "x", ("verify", "all", "--max-n", "3")),
+            {"DIMEQ_MAX_N": "14"},
+            {"DIMEQ_MAX_L": "9"},
+            {"DIMEQ_CEX_CAP": "-1"},
+            dict.fromkeys(("DIMEQ_MAX_N", "DIMEQ_MAX_L", "DIMEQ_CEX_CAP"), "plenty"),
         ],
+        ids=["max-n", "max-l", "cex-cap", "garbage"],
     )
-    def test_env_of_a_knob_the_command_lacks_is_ignored(
-        self, capsys, monkeypatch, name, value, argv
-    ):
-        _, base, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv(name, value)
-        rc, out, err = run_cli(capsys, *argv)
-        assert rc == 0 and err == ""
-        assert out == base and base != ""
+    def test_environment_sets_no_knob(self, capsys, monkeypatch, env):
+        # the DIMEQ_* variables are gone: the bounds and the cap come from flags
+        solve = ("equation", "solve", "--n", "14", "--l", "2")
+        strict = ("verify", "prop4", "--n", "10", "--l", "3", "--mode", "strict")
+        base = run_cli(capsys, *strict)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        rc, out, err = run_cli(capsys, *solve)
+        assert rc == 3 and out == ""
+        assert err == "resource limit: solution search n=14, l=2 exceeds bounds max_n=12, max_l=4\n"
+        assert run_cli(capsys, *strict) == base and base[0] == 1
 
     def test_csv_rejected_outside_solve(self, capsys):
         rc, _, _ = run_cli(capsys, "partition", "dim", "[3,3]", "--format", "csv")

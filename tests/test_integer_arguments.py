@@ -1,12 +1,13 @@
 """Every integer argument of the library is an int, not a bool, a float or a
 string: a value of another type is an InvalidInputError with one message,
 "<who> needs an integer <name>, got <value>", never a result or a bare
-TypeError."""
+TypeError.  Limits such as cex_cap, max_n and max_l are checked the same way,
+by the library, before any sweep."""
 
 import pytest
 
 import dimeq
-from dimeq import Generic, InvalidInputError, Speh
+from dimeq import Generic, InvalidInputError, Speh, theorems
 from dimeq import TrivialConstituent as T
 
 # (id, call, valid keyword arguments, who).  A tuple argument holds blocks:
@@ -85,8 +86,20 @@ def test_every_integer_argument_is_type_checked(call, args, message):
             lambda: dimeq.vanishing_verdict(dimeq.IntegralSpec(5.0, (Generic(5), Speh(5, 1)))),
             "IntegralSpec needs an integer n, got 5.0",
         ),
+        (lambda: theorems.verification_sweep(max_n=3.5),
+         "verification_sweep needs an integer max_n, got 3.5"),
+        (lambda: dimeq.enumerate_orbit_solutions(4, 2, max_n="9"),
+         "solution search needs an integer max_n, got '9'"),
+        (lambda: dimeq.enumerate_orbit_solutions(4, 2, max_l=4.0),
+         "solution search needs an integer max_l, got 4.0"),
         # a value of the right type below its bound is a range fault
         (lambda: dimeq.verify_lemma2(1), "verify_lemma2 needs n >= 2, got 1"),
+        (lambda: theorems.verification_sweep(cex_cap=-1),
+         "verification_sweep needs cex_cap >= 0, got -1"),
+        # one too long for str() is named by its size
+        (lambda: dimeq.verify_lemma2(-10**5000),
+         "verify_lemma2 needs n >= 2, got a negative integer of 16610 bits"),
+        (lambda: Generic(-10**5000), "Generic needs n >= 1, got a negative integer of 16610 bits"),
         (
             lambda: list(dimeq.enumerate_partitions(4, max_length=-1)),
             "enumerate_partitions needs max_length >= 0, got -1",
@@ -95,3 +108,30 @@ def test_every_integer_argument_is_type_checked(call, args, message):
 )
 def test_named_cases(build, message):
     assert _raised(build) == (InvalidInputError, message)
+
+
+@pytest.fixture
+def sweeps_refused(monkeypatch):
+    """theorems' sweep entry points, each replaced by one that raises."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("swept")
+
+    for name in ("enumerate_partitions", "_pair_sweep", "_block_sweep"):
+        monkeypatch.setattr(theorems, name, refused)
+
+
+@pytest.mark.parametrize("name", list(theorems.VERIFIERS))
+def test_every_verifier_checks_cex_cap_before_its_sweep(sweeps_refused, name):
+    v = theorems.VERIFIERS[name]
+    args = next(iter(v.cases(v.n_range[0])))
+    who = v.func.__name__
+    with pytest.raises(AssertionError, match="swept"):
+        v.func(*args, cex_cap=0)  # a valid cap reaches the refused sweep
+    for bad, message in [(4.0, "an integer cex_cap, got 4.0"),
+                         (True, "an integer cex_cap, got True"),
+                         ("4", "an integer cex_cap, got '4'"),
+                         (-1, "cex_cap >= 0, got -1")]:
+        assert _raised(lambda: v.func(*args, cex_cap=bad)) == (
+            InvalidInputError, f"{who} needs {message}"
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
-from .errors import InternalError, InvalidInputError, ResourceLimitError, need_int
+from .errors import InternalError, InvalidInputError, ResourceLimitError, echo, need_int
 from .partitions import Partition, dominance_floor
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
@@ -144,7 +144,8 @@ def enumerate_orbit_solutions(
     need_int(max_l, None, "solution search", "max_l")
     if n > max_n or l > max_l:
         raise ResourceLimitError(
-            f"solution search n={n}, l={l} exceeds bounds max_n={max_n}, max_l={max_l}"
+            f"solution search n={echo(n)}, l={echo(l)} exceeds bounds max_n={echo(max_n)}, "
+            f"max_l={echo(max_l)}"
         )
 
     target = n * (n - 1) // 2

@@ -1,4 +1,6 @@
-"""Exception types, how their messages quote input, and the integer-argument check."""
+"""Exception types and the two rules their messages share: echo quotes every
+value a message shows, abbreviated and safe on ints too long to print, and
+need_int is the one check that an argument is an int within its bounds."""
 
 import reprlib
 
@@ -28,7 +30,16 @@ class InternalError(RuntimeError):
 
 ECHO_LIMIT = 200
 
-_echo_repr = reprlib.Repr()
+
+class _Echo(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past CPython's 4,300-digit limit: name its size instead
+            return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+
+
+_echo_repr = _Echo()
 _echo_repr.maxstring = 80
 _echo_repr.maxother = 80
 _echo_repr.maxlong = 40
@@ -44,14 +55,14 @@ def echo(value: object) -> str:
     return text
 
 
-def need_int(value: object, low: int | None, who: str, name: str = "n") -> int:
-    """value, if it is an int (not a bool) and, unless low is None, at least low."""
+def need_int(
+    value: object, low: int | None, who: str, name: str = "n", high: int | None = None
+) -> int:
+    """value, if it is an int (not a bool) and, unless low is None, in
+    [low, high], or at least low when high is None."""
     if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise InvalidInputError(f"{who} needs an integer {name}, got {echo(value)}")
-    if low is not None and value < low:
-        try:
-            shown = str(value)
-        except ValueError:  # past CPython's 4,300-digit limit: name its size instead
-            shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-        raise InvalidInputError(f"{who} needs {name} >= {low}, got {shown}")
+    if low is not None and (value < low or high is not None and value > high):
+        bounds = f">= {echo(low)}" if high is None else f"in [{echo(low)}, {echo(high)}]"
+        raise InvalidInputError(f"{who} needs {name} {bounds}, got {echo(value)}")
     return value

@@ -89,14 +89,12 @@ class Partition:
                 raise InvalidInputError(
                     f"a run must be a (value, multiplicity) pair, got {echo(run)}"
                 ) from None
-            for x in (v, m):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InvalidInputError(f"run entries must be integers, got {echo(run)}")
-            if v <= 0 or m <= 0:
-                raise InvalidInputError(f"run entries must be positive, got {echo(run)}")
+            need_int(v, 1, "Partition.from_runs", "value")
+            need_int(m, 1, "Partition.from_runs", "multiplicity")
             if checked and v >= checked[-1][0]:
                 raise InvalidInputError(
-                    f"run values must be strictly decreasing, got {checked[-1][0]} then {v}"
+                    f"run values must be strictly decreasing, got {echo(checked[-1][0])} then "
+                    f"{echo(v)}"
                 )
             checked.append((v, m))
             n += v * m
@@ -253,7 +251,8 @@ class Partition:
         other._require_nonempty("compare")
         if self._n != other._n:
             raise InvalidInputError(
-                f"cannot compare partitions of different integers: {self._n} vs {other._n}"
+                f"cannot compare partitions of different integers: {echo(self._n)} vs "
+                f"{echo(other._n)}"
             )
         a, b = self._runs, other._runs
         if a == b:
@@ -414,13 +413,10 @@ class EpsilonVector:
 
     def __post_init__(self) -> None:
         bits = tuple(self.bits)
-        if type(self.n) is not int:
-            raise InvalidInputError(f"epsilon vectors need an integer n, got {echo(self.n)}")
-        if self.n < 2:
-            raise InvalidInputError(f"epsilon vectors need n >= 2, got {self.n}")
-        if len(bits) != self.n - 1:
+        if len(bits) != need_int(self.n, 2, "EpsilonVector") - 1:
             raise InvalidInputError(
-                f"epsilon vector for n={self.n} needs {self.n - 1} bits, got {len(bits)}"
+                f"epsilon vector for n={echo(self.n)} needs {echo(self.n - 1)} bits, "
+                f"got {len(bits)}"
             )
         if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise InvalidInputError(f"epsilon bits must be 0 or 1, got {echo(list(bits))}")

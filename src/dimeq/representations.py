@@ -50,11 +50,8 @@ class Speh:
     orbit: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        need_int(self.p, None, "Speh", "p")
-        need_int(self.q, None, "Speh", "q")
-        if self.p < 1 or self.q < 1:
-            raise InvalidInputError(f"Speh needs p, q >= 1, got p={self.p}, q={self.q}")
-        object.__setattr__(self, "orbit", _leaf_orbit(self.p, self.q))
+        need_int(self.p, 1, "Speh", "p")
+        object.__setattr__(self, "orbit", _leaf_orbit(self.p, need_int(self.q, 1, "Speh", "q")))
 
     def to_json(self) -> dict:
         return {"kind": "speh", "p": self.p, "q": self.q}
@@ -133,7 +130,7 @@ class Eisenstein:
             orbit = attached_orbit(c)
             if orbit.n != b:
                 raise InvalidInputError(
-                    f"constituent of rank {orbit.n} attached to block of size {b}"
+                    f"constituent of rank {echo(orbit.n)} attached to block of size {echo(b)}"
                 )
             total = orbit if total is None else total + orbit
         object.__setattr__(self, "orbit", total)
@@ -242,11 +239,11 @@ class IntegralSpec:
             orbit = attached_orbit(rep)
             if orbit.n != self.n:
                 raise InvalidInputError(
-                    f"representation {i} has rank {orbit.n}, expected {self.n}"
+                    f"representation {i} has rank {echo(orbit.n)}, expected {echo(self.n)}"
                 )
             if orbit.is_trivial_orbit():
                 raise InvalidInputError(
-                    f"representation {i} is one-dimensional (orbit (1^{self.n})); "
+                    f"representation {i} is one-dimensional (orbit (1^{echo(self.n)})); "
                     "one-dimensional representations are excluded at top level"
                 )
 
@@ -291,8 +288,7 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         n = obj.get("n", expected_rank)
         if n is None:
             raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
-        if need_int(n, None, kind, '"n"') < 1:
-            raise InvalidInputError(f"bad rank {echo(n)} for kind {echo(kind)}")
+        need_int(n, None, kind, '"n"')
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
         if n is expected_rank:
             return rep  # the rank came from context
@@ -325,7 +321,8 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         raise InvalidInputError(f"unknown representation kind {echo(kind)}")
     if expected_rank is not None and rep.orbit.n != expected_rank:
         raise InvalidInputError(
-            f"representation has rank {rep.orbit.n}, expected {expected_rank}: {echo(obj)}"
+            f"representation has rank {echo(rep.orbit.n)}, expected {echo(expected_rank)}: "
+            f"{echo(obj)}"
         )
     return rep
 

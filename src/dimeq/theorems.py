@@ -167,7 +167,7 @@ def lemma2_I(lam: Partition, mu: Partition) -> int:
     """
     if lam.n != mu.n:
         raise InvalidInputError(
-            f"lemma2_I needs partitions of the same n, got {lam.n} and {mu.n}"
+            f"lemma2_I needs partitions of the same n, got {echo(lam.n)} and {echo(mu.n)}"
         )
     if mu.is_trivial_orbit():
         raise InvalidInputError("lemma2_I requires a nontrivial second partition")
@@ -225,14 +225,14 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 class Lemma2Case:
     """One near-rectangular case partition (a^p1, (a-1)^p2) in the reduction.
 
-    a, p1 and p2 are ints (not bools) with a >= 2, p1 >= 1, p2 >= 0; the
-    partition is built from their runs.  With n = a*p1 + (a-1)*p2 and
-    m1 = n - (p1+p2) + 1 these imply the reduction's invariants, so they
-    need no check of their own: m1 - a = (a-1)(p1-1) + (a-2)p2 >= 0, so
-    2 <= a <= m1; for a == 2, n - (2*m1-2) = p2 >= 0; for a >= 3, n lies in
-    the window left < n <= right, with left = (a*m1-(a+1))/(a-1) and
-    right = ((a-1)*m1-a)/(a-2), since n - left = (p2+1)/(a-1) > 0 and
-    right - n = (p1-1)/(a-2) >= 0.
+    a, p1 and p2 are ints (not bools) with a >= 2, p1 >= 1, p2 >= 0, each
+    checked by need_int in that order; the partition is built from their
+    runs.  With n = a*p1 + (a-1)*p2 and m1 = n - (p1+p2) + 1 these imply the
+    reduction's invariants, so they need no check of their own:
+    m1 - a = (a-1)(p1-1) + (a-2)p2 >= 0, so 2 <= a <= m1; for a == 2,
+    n - (2*m1-2) = p2 >= 0; for a >= 3, n lies in the window left < n <= right,
+    with left = (a*m1-(a+1))/(a-1) and right = ((a-1)*m1-a)/(a-2), since
+    n - left = (p2+1)/(a-1) > 0 and right - n = (p1-1)/(a-2) >= 0.
     """
 
     a: int
@@ -241,14 +241,9 @@ class Lemma2Case:
     partition: Partition = field(init=False)
 
     def __post_init__(self) -> None:
-        if any(type(x) is not int for x in (self.a, self.p1, self.p2)):
-            raise InvalidInputError(
-                f"case a, p1, p2 must be ints, got {echo((self.a, self.p1, self.p2))}"
-            )
-        if self.a < 2 or self.p1 < 1 or self.p2 < 0:
-            raise InvalidInputError(
-                f"bad case shape a={self.a}, p1={self.p1}, p2={self.p2}"
-            )
+        need_int(self.a, 2, "Lemma2Case", "a")
+        need_int(self.p1, 1, "Lemma2Case", "p1")
+        need_int(self.p2, 0, "Lemma2Case", "p2")
         runs = [(v, m) for v, m in ((self.a, self.p1), (self.a - 1, self.p2)) if m]
         object.__setattr__(self, "partition", Partition.from_runs(runs))
 
@@ -263,8 +258,7 @@ def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
     a-window (see Lemma2Case).
     """
     need_int(n, 2, "lemma2_reduction_cases")
-    if not 2 <= need_int(m1, None, "lemma2_reduction_cases", "m1") <= n:
-        raise InvalidInputError(f"m1 must be in [2, n], got m1={m1}, n={n}")
+    need_int(m1, 2, "lemma2_reduction_cases", "m1", n)
     s = n - m1 + 1
     cases: list[Lemma2Case] = []
     for a in range(2, m1 + 1):
@@ -411,8 +405,7 @@ def _check_blocks(caller: str, n: int, m1s: tuple[int, ...]) -> None:
     """n is an int >= 2, and every trivial block is an int in [1, n-1]."""
     need_int(n, 2, caller)
     for m in m1s:
-        if not 1 <= need_int(m, None, caller, "block") <= n - 1:
-            raise InvalidInputError(f"block {m} outside [1, {n - 1}]")
+        need_int(m, 1, caller, "block", n - 1)
 
 
 def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
@@ -441,7 +434,7 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     m1s = tuple(m1s)
     need_int(l, 2, "check_corollary1", "l")
     if len(m1s) != l:
-        raise InvalidInputError(f"expected {l} blocks, got {len(m1s)}")
+        raise InvalidInputError(f"expected {echo(l)} blocks, got {len(m1s)}")
     _check_blocks("check_corollary1", n, m1s)
     return sum(m1s) >= n * (l - 1) + 2
 
@@ -483,7 +476,7 @@ def _block_sweep(
     try:
         walk((), 0, 0, k)
     except RecursionError:
-        raise ResourceLimitError(f"block search too deep: n={n}, {k} slots") from None
+        raise ResourceLimitError(f"block search too deep: n={echo(n)}, {k} slots") from None
     return math.comb(len(big) + k - 1, k), feasible, short
 
 
@@ -571,9 +564,9 @@ def verify_prop5(
     An evaluated closed form adds one case to space_size.
     """
     need_int(n, 4, "verify_prop5")
-    if need_int(q, None, "verify_prop5", "q") < 1 or n % q != 0 or n // q < 2:
+    if n % need_int(q, 1, "verify_prop5", "q") != 0 or n // q < 2:
         raise InvalidInputError(
-            f"q must divide n with quotient >= 2, got n={n}, q={q}"
+            f"q must divide n with quotient >= 2, got n={echo(n)}, q={echo(q)}"
         )
     need_int(l, 3, "verify_prop5", "l")
     need_int(cex_cap, 0, "verify_prop5", "cex_cap")
@@ -634,12 +627,10 @@ def verify_epsilon_orbit_claim(
     (q-1)p — one nonzero entry short of the threshold — attaches precisely
     (p^q), which is why the threshold is sharp.
     """
-    for name, value in (("n", n), ("p", p), ("q", q)):
-        need_int(value, None, "verify_epsilon_orbit_claim", name)
-    if p < 2 or q < 1 or p * q != n:
-        raise InvalidInputError(
-            f"need n == p*q with p >= 2, got n={n}, p={p}, q={q}"
-        )
+    for name, value, low in (("n", n, None), ("p", p, 2), ("q", q, 1)):
+        need_int(value, low, "verify_epsilon_orbit_claim", name)
+    if p * q != n:
+        raise InvalidInputError(f"need n == p*q, got n={echo(n)}, p={echo(p)}, q={echo(q)}")
     need_int(cex_cap, 0, "verify_epsilon_orbit_claim", "cex_cap")
     target = Partition((p,) * q)
     need = n - q + 1
@@ -731,8 +722,8 @@ def verification_sweep(
     """Every registered verifier over its n_range, capped at max_n."""
     need_int(cex_cap, 0, "verification_sweep", "cex_cap")
     lowest = min(v.n_range[0] for v in VERIFIERS.values())
-    if max_n is not None and need_int(max_n, None, "verification_sweep", "max_n") < lowest:
-        raise InvalidInputError(f"max-n must be >= {lowest}, got {max_n}")
+    if max_n is not None:
+        need_int(max_n, lowest, "verification_sweep", "max_n")
     reports: list[VerificationReport] = []
     for v in VERIFIERS.values():
         lo, hi = v.n_range

@@ -367,7 +367,7 @@ class TestVerifyCommands:
         # a cap below every verifier's range would sweep nothing and pass
         rc, out, err = run_cli(capsys, "verify", "all", "--max-n", cap)
         assert rc == 2 and out == ""
-        assert err == f"error: max-n must be >= 2, got {cap}\n"
+        assert err == f"error: verification_sweep needs max_n >= 2, got {cap}\n"
 
     def test_all_capped_at_the_lowest_range(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "all", "--max-n", "2")

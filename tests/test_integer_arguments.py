@@ -2,13 +2,25 @@
 string: a value of another type is an InvalidInputError with one message,
 "<who> needs an integer <name>, got <value>", never a result or a bare
 TypeError.  Limits such as cex_cap, max_n and max_l are checked the same way,
-by the library, before any sweep."""
+by the library, before any sweep.  A value out of its range reads
+"<who> needs <name> >= <low>" or "<who> needs <name> in [<low>, <high>]", and
+every number a message quotes, however long, is shown by errors.echo."""
 
 import pytest
 
 import dimeq
-from dimeq import Generic, InvalidInputError, Speh, theorems
+from dimeq import (
+    EpsilonVector,
+    Generic,
+    InvalidInputError,
+    Lemma2Case,
+    Partition,
+    ResourceLimitError,
+    Speh,
+    theorems,
+)
 from dimeq import TrivialConstituent as T
+from dimeq.errors import echo
 
 # (id, call, valid keyword arguments, who).  A tuple argument holds blocks:
 # its first block is replaced, and the message names a "block".
@@ -42,6 +54,10 @@ INTEGER_ARGUMENTS = [
      {"blocks": (3, 1)}, "Eisenstein"),
     ("IntegralSpec", lambda n: dimeq.IntegralSpec(n, (Generic(4),)), {"n": 4},
      "IntegralSpec"),
+    ("Lemma2Case", Lemma2Case, {"a": 2, "p1": 1, "p2": 0}, "Lemma2Case"),
+    ("EpsilonVector", lambda n: EpsilonVector(n, (1,) * 3), {"n": 4}, "EpsilonVector"),
+    ("Partition.from_runs", lambda value, multiplicity: Partition.from_runs([(value, multiplicity)]),
+     {"value": 2, "multiplicity": 1}, "Partition.from_runs"),
 ]
 
 NOT_INTS = [(4.0, "4.0"), (True, "True"), ("4", "'4'")]
@@ -108,6 +124,116 @@ def test_every_integer_argument_is_type_checked(call, args, message):
 )
 def test_named_cases(build, message):
     assert _raised(build) == (InvalidInputError, message)
+
+
+# (id, call, the value at a bound, the value one past it, the message for that one)
+BOUNDS = [
+    ("m1-low", lambda m1: dimeq.lemma2_reduction_cases(6, m1), 2, 1,
+     "lemma2_reduction_cases needs m1 in [2, 6], got 1"),
+    ("m1-high", lambda m1: dimeq.lemma2_reduction_cases(6, m1), 6, 7,
+     "lemma2_reduction_cases needs m1 in [2, 6], got 7"),
+    ("block-low", lambda m: dimeq.residual_bound(5, (m,)), 1, 0,
+     "residual_bound needs block in [1, 4], got 0"),
+    ("block-high", lambda m: dimeq.residual_bound(5, (m,)), 4, 5,
+     "residual_bound needs block in [1, 4], got 5"),
+    ("corollary1-block", lambda m: dimeq.check_corollary1(5, 2, (4, m)), 4, 5,
+     "check_corollary1 needs block in [1, 4], got 5"),
+    ("Speh-p", lambda p: Speh(p, 2), 1, 0, "Speh needs p >= 1, got 0"),
+    ("Speh-q", lambda q: Speh(2, q), 1, 0, "Speh needs q >= 1, got 0"),
+    ("EpsilonVector-n", lambda n: EpsilonVector(n, (1,) * (n - 1)), 2, 1,
+     "EpsilonVector needs n >= 2, got 1"),
+    ("Lemma2Case-a", lambda a: Lemma2Case(a, 1, 0), 2, 1, "Lemma2Case needs a >= 2, got 1"),
+    ("Lemma2Case-p1", lambda p1: Lemma2Case(2, p1, 0), 1, 0, "Lemma2Case needs p1 >= 1, got 0"),
+    ("Lemma2Case-p2", lambda p2: Lemma2Case(2, 1, p2), 0, -1, "Lemma2Case needs p2 >= 0, got -1"),
+    ("from_runs-value", lambda v: Partition.from_runs([(v, 1)]), 1, 0,
+     "Partition.from_runs needs value >= 1, got 0"),
+    ("from_runs-multiplicity", lambda m: Partition.from_runs([(1, m)]), 1, 0,
+     "Partition.from_runs needs multiplicity >= 1, got 0"),
+    ("prop5-q", lambda q: dimeq.verify_prop5(4, q, 3), 1, 0, "verify_prop5 needs q >= 1, got 0"),
+    ("epsilon-orbit-p", lambda p: dimeq.verify_epsilon_orbit_claim(2 * p, p, 2), 2, 1,
+     "verify_epsilon_orbit_claim needs p >= 2, got 1"),
+    ("epsilon-orbit-q", lambda q: dimeq.verify_epsilon_orbit_claim(2 * q, 2, q), 1, 0,
+     "verify_epsilon_orbit_claim needs q >= 1, got 0"),
+    ("sweep-max_n", lambda max_n: theorems.verification_sweep(max_n=max_n), 2, 1,
+     "verification_sweep needs max_n >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,at,past,message", [pytest.param(*row[1:], id=row[0]) for row in BOUNDS]
+)
+def test_each_bound_accepts_its_end_and_refuses_one_past(call, at, past, message):
+    call(at)
+    assert _raised(lambda: call(past)) == (InvalidInputError, message)
+
+
+HUGE = 10**5000  # 16610 bits, past CPython's 4,300-digit limit on str()
+NEG = "a negative integer of 16610 bits"
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: dimeq.lemma2_reduction_cases(4, -HUGE), InvalidInputError,
+         f"lemma2_reduction_cases needs m1 in [2, 4], got {NEG}"),
+        (lambda: dimeq.verify_prop5(4 * HUGE, -HUGE, 3), InvalidInputError,
+         f"verify_prop5 needs q >= 1, got {NEG}"),
+        (lambda: dimeq.verify_epsilon_orbit_claim(4, -HUGE, 2), InvalidInputError,
+         f"verify_epsilon_orbit_claim needs p >= 2, got {NEG}"),
+        (lambda: dimeq.residual_bound(4, (-HUGE,)), InvalidInputError,
+         f"residual_bound needs block in [1, 3], got {NEG}"),
+        (lambda: Speh(-HUGE, 2), InvalidInputError, f"Speh needs p >= 1, got {NEG}"),
+        (lambda: dimeq.Eisenstein((-HUGE, 1), (Generic(1), Generic(1))), InvalidInputError,
+         f"blocks must be positive, got [{NEG}, 1]"),
+        (lambda: theorems.verification_sweep(max_n=-HUGE), InvalidInputError,
+         f"verification_sweep needs max_n >= 2, got {NEG}"),
+        (lambda: dimeq.verify_prop5(4 * HUGE, 3, 3), InvalidInputError,
+         "q must divide n with quotient >= 2, got n=an integer of 16612 bits, q=3"),
+        (lambda: dimeq.verify_epsilon_orbit_claim(4 * HUGE, 2, 3), InvalidInputError,
+         "need n == p*q, got n=an integer of 16612 bits, p=2, q=3"),
+        (lambda: dimeq.check_corollary1(4, HUGE, (3, 3)), InvalidInputError,
+         "expected an integer of 16610 bits blocks, got 2"),
+        (lambda: EpsilonVector(HUGE, ()), InvalidInputError,
+         "epsilon vector for n=an integer of 16610 bits needs an integer of 16610 bits bits, "
+         "got 0"),
+        (lambda: EpsilonVector(-HUGE, ()), InvalidInputError,
+         f"EpsilonVector needs n >= 2, got {NEG}"),
+        (lambda: Lemma2Case(-HUGE, 1, 0), InvalidInputError, f"Lemma2Case needs a >= 2, got {NEG}"),
+        (lambda: dimeq.IntegralSpec(HUGE, (Generic(3),)), InvalidInputError,
+         "representation 0 has rank 3, expected an integer of 16610 bits"),
+        (lambda: dimeq.lemma2_I(Partition([HUGE]), Partition([2, 1])), InvalidInputError,
+         "lemma2_I needs partitions of the same n, got an integer of 16610 bits and 3"),
+        (lambda: Partition([HUGE]).compare(Partition([2, 1])), InvalidInputError,
+         "cannot compare partitions of different integers: an integer of 16610 bits vs 3"),
+        (lambda: Partition.from_runs([(2, 1), (HUGE, 1)]), InvalidInputError,
+         "run values must be strictly decreasing, got 2 then an integer of 16610 bits"),
+        (lambda: dimeq.rep_from_json({"kind": "speh", "p": 2, "q": 2}, expected_rank=HUGE),
+         InvalidInputError,
+         "representation has rank 4, expected an integer of 16610 bits: "
+         "{'kind': 'speh', 'p': 2, 'q': 2}"),
+        (lambda: dimeq.enumerate_orbit_solutions(HUGE, 2), ResourceLimitError,
+         "solution search n=an integer of 16610 bits, l=2 exceeds bounds max_n=12, max_l=4"),
+        # a bound computed from a long int is shown the same way
+        (lambda: dimeq.lemma2_reduction_cases(HUGE, 1), InvalidInputError,
+         "lemma2_reduction_cases needs m1 in [2, an integer of 16610 bits], got 1"),
+        (lambda: dimeq.residual_bound(HUGE, (0,)), InvalidInputError,
+         "residual_bound needs block in [1, an integer of 16610 bits], got 0"),
+        (lambda: dimeq.Eisenstein((HUGE, 1), (Generic(3), Generic(1))), InvalidInputError,
+         "constituent of rank 3 attached to block of size an integer of 16610 bits"),
+        (lambda: dimeq.IntegralSpec(HUGE, (T(HUGE),)), InvalidInputError,
+         "representation 0 is one-dimensional (orbit (1^an integer of 16610 bits)); "
+         "one-dimensional representations are excluded at top level"),
+    ],
+)
+def test_an_int_too_long_to_print_is_named_by_its_size(build, error, message):
+    # each of these once ended in CPython's bare ValueError from str()
+    assert _raised(build) == (error, message)
+
+
+def test_echo_names_a_long_int_inside_a_list():
+    assert echo([-HUGE, 1]) == f"[{NEG}, 1]"
+    assert echo((HUGE,)) == "(an integer of 16610 bits,)"
+    assert echo(10**45) == "100000000000000000...0000000000000000000"
 
 
 @pytest.fixture

@@ -216,25 +216,26 @@ class TestReductionCases:
             Lemma2Case(a=2, p1=1, p2=-1)
 
     @pytest.mark.parametrize(
-        "a,p1,p2",
+        "a,p1,p2,fault",
         [
-            (3, True, 0),
-            (2, 1, False),
-            (True, 1, 0),
-            (3.0, 1, 0),
-            (3, 1, 0.5),
-            (3, 1.0, 0),
-            ("3", 1, 0),
+            (3, True, 0, "an integer p1, got True"),
+            (2, 1, False, "an integer p2, got False"),
+            (True, 1, 0, "an integer a, got True"),
+            (3.0, 1, 0, "an integer a, got 3.0"),
+            (3, 1, 0.5, "an integer p2, got 0.5"),
+            (3, 1.0, 0, "an integer p1, got 1.0"),
+            ("3", 1, 0, "an integer a, got '3'"),
         ],
     )
-    def test_fields_must_be_ints(self, a, p1, p2):
-        # a bool, float or string is refused before the shape is read
-        with pytest.raises(InvalidInputError, match=r"^case a, p1, p2 must be ints, got \("):
+    def test_fields_must_be_ints(self, a, p1, p2, fault):
+        # a bool, float or string is refused, the first faulty field named
+        with pytest.raises(InvalidInputError, match=f"^{re.escape('Lemma2Case needs ' + fault)}$"):
             Lemma2Case(a, p1, p2)
 
     def test_bad_shape_is_reported_first(self):
+        # each field is checked in full, type then range, in argument order
         with pytest.raises(
-            InvalidInputError, match=r"^bad case shape a=1, p1=0, p2=-1$"
+            InvalidInputError, match=r"^Lemma2Case needs a >= 2, got 1$"
         ):
             Lemma2Case(a=1, p1=0, p2=-1)
 
@@ -404,8 +405,8 @@ class TestResidualBound:
             # with several faults, the first check in this order reports
             (1, (), "residual_bound needs at least one block"),
             (1, (5,), "residual_bound needs n >= 2, got 1"),
-            (5, (0, 9), "block 0 outside [1, 4]"),
-            (5, (4, 9, 0), "block 9 outside [1, 4]"),
+            (5, (0, 9), "residual_bound needs block in [1, 4], got 0"),
+            (5, (4, 9, 0), "residual_bound needs block in [1, 4], got 9"),
         ],
     )
     def test_first_fault_names_itself(self, n, blocks, message):
@@ -440,7 +441,7 @@ class TestCorollary1:
             (5, 2, (9, 9, 9), "expected 2 blocks, got 3"),
             (1, 3, (9, 9), "expected 3 blocks, got 2"),
             (1, 2, (0, 0), "check_corollary1 needs n >= 2, got 1"),
-            (5, 2, (9, 0), "block 9 outside [1, 4]"),
+            (5, 2, (9, 0), "check_corollary1 needs block in [1, 4], got 9"),
         ],
     )
     def test_first_fault_names_itself(self, n, l, blocks, message):
@@ -1103,7 +1104,7 @@ class TestVerifierRegistry:
             assert ("mode" in names) == bool(v.modes), v.func.__name__
 
     def test_cap_below_every_range_is_rejected(self):
-        with pytest.raises(InvalidInputError, match="max-n must be >= 2, got 1"):
+        with pytest.raises(InvalidInputError, match="^verification_sweep needs max_n >= 2, got 1$"):
             verification_sweep(max_n=1)
 
 

@@ -400,6 +400,19 @@ def dominance_floor(n: int) -> Partition:
     return Partition.from_runs([(2, n // 2)] + [(1, 1)] * (n % 2))
 
 
+def balanced_partition(n: int, k: int) -> Partition:
+    """The partition of n into k parts that differ by at most 1.
+
+    Every partition of n with at most k parts dominates it, so it also has
+    the smallest orbit dimension among them (orbit dimension grows with
+    dominance).  The verifiers check it in place of that whole class.
+    """
+    need_int(n, 1, "balanced_partition")
+    need_int(k, 1, "balanced_partition", "k", n)
+    q, r = divmod(n, k)
+    return Partition.from_runs([(q + 1, r), (q, k - r)] if r else [(q, k)])
+
+
 @dataclass(frozen=True, repr=False)
 class EpsilonVector:
     """A 0/1 pattern on the n-1 superdiagonal positions of a degenerate character.
@@ -415,8 +428,7 @@ class EpsilonVector:
         bits = tuple(self.bits)
         if len(bits) != need_int(self.n, 2, "EpsilonVector") - 1:
             raise InvalidInputError(
-                f"epsilon vector for n={echo(self.n)} needs {echo(self.n - 1)} bits, "
-                f"got {len(bits)}"
+                f"EpsilonVector needs n - 1 bits, got n={echo(self.n)} and {len(bits)} bits"
             )
         if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise InvalidInputError(f"epsilon bits must be 0 or 1, got {echo(list(bits))}")

@@ -17,7 +17,6 @@ concrete integral specification and says what they imply about it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 from collections.abc import Callable, Iterable
@@ -30,6 +29,7 @@ from .partitions import (
     Dominance,
     EpsilonVector,
     Partition,
+    balanced_partition,
     dominance_floor,
     enumerate_partitions,
     epsilon_preimage,
@@ -40,7 +40,6 @@ from .representations import (
     IntegralSpec,
     RepDescriptor,
     attached_orbit,
-    dim_rep,
     is_speh_type,
     top_trivial_block,
 )
@@ -90,6 +89,34 @@ def _finish(
         passed=not violations,
         counterexamples=tuple(violations[:cex_cap]),
     )
+
+
+# -- partition counts, for the sweeps that check one minimum per class ----------
+
+
+def _partition_counts(n: int) -> list[list[int]]:
+    """counts[m][k], the number of partitions of m into at most k parts (by
+    transposition, into parts of at most k), for 0 <= m, k <= n.
+
+    One O(n^2) table per call: a partition into at most k parts has fewer
+    than k, or exactly k, and less one from each part it is a partition of
+    m - k into at most k.
+    """
+    counts = [[1] * (n + 1)]
+    for m in range(1, n + 1):
+        row = [0] * (n + 1)
+        for k in range(1, m + 1):
+            row[k] = row[k - 1] + counts[m - k][k]
+        row[m + 1 :] = [row[m]] * (n - m)
+        counts.append(row)
+    return counts
+
+
+def _of_length(n: int, length: int) -> list[Partition]:
+    """The partitions of n with exactly `length` parts, 1 <= length < n: each
+    partition of n - length into at most `length` parts, plus (1^length)."""
+    ones = Partition.from_runs([(1, length)])
+    return [nu + ones for nu in enumerate_partitions(n - length, max_length=length)]
 
 
 # -- pairwise orbit-size lower bound (rectangular orbits) ----------------------
@@ -181,40 +208,39 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 
     The zero orbit (1^n) is excluded on both sides: one-dimensional
     representations never enter the integrals.  Coverage is exhaustive but
-    aggregated — for each mu the minimum admissible lam orbit dimension is
-    compared, which covers every pair; individual pairs are revisited only
-    when that minimum exposes a violation.
+    aggregated: the mu of length L, and the lam of length at most
+    K = min(n - L + 1, n - 1), have their smallest orbit dimensions at
+    balanced_partition(n, L) and balanced_partition(n, K), so that one pair
+    covers all of theirs, and they are walked only when it fails.  The pairs
+    are counted from _partition_counts.
     """
     need_int(n, 2, "verify_lemma2")
     need_int(cex_cap, 0, "verify_lemma2", "cex_cap")
-    lams = sorted(
-        (p for p in enumerate_partitions(n) if not p.is_trivial_orbit()),
-        key=lambda p: p.length,
-    )
-    odims = [p.orbit_dim() for p in lams]
-    lengths = [p.length for p in lams]
-    prefix_min = list(itertools.accumulate(odims, min))
+    counts = _partition_counts(n)
+    # low[k]: the smallest orbit dimension of a partition with at most k parts
+    low = [0] + [balanced_partition(n, k).orbit_dim() for k in range(1, n)]
     bound = n * n - n
 
     space = 0
     violations: list[dict] = []
-    for mu, mu_dim in zip(lams, odims):
-        # lams[:k] have at most n - len(mu) + 1 parts; (n) is one, so k >= 1
-        k = bisect.bisect_right(lengths, n - mu.length + 1)
-        space += k
-        if mu_dim + prefix_min[k - 1] > bound:
+    for length in range(1, n):
+        most = min(n - length + 1, n - 1)
+        space += counts[n - length][length] * counts[n][most]
+        if low[length] + low[most] > bound:
             continue
-        for lam, lam_dim in zip(lams[:k], odims):
-            s = mu_dim + lam_dim
-            if s <= bound:
-                violations.append(
-                    {
-                        "mu": list(mu.parts),
-                        "lambda": list(lam.parts),
-                        "orbit_dim_sum": s,
-                        "must_exceed": bound,
-                    }
-                )
+        lams = list(enumerate_partitions(n, max_length=most))
+        for mu in _of_length(n, length):
+            for lam in lams:
+                s = mu.orbit_dim() + lam.orbit_dim()
+                if s <= bound:
+                    violations.append(
+                        {
+                            "mu": list(mu.parts),
+                            "lambda": list(lam.parts),
+                            "orbit_dim_sum": s,
+                            "must_exceed": bound,
+                        }
+                    )
     return _finish("lemma2", {"n": n}, space, violations, cex_cap)
 
 
@@ -288,6 +314,10 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     (iii) for a >= 3, whenever n lies in the a-window, n is at least
           (3a-2)(m1-1)/(3a-4) — the margin the window argument consumes.
 
+    (i) and (ii) are aggregated: each checks the dominance minimum of its
+    class of mu or lam, walks the class only when that fails (or, in (i),
+    for the rectangles' cross-check), and counts it from _partition_counts.
+
     The bare-rational comparison "window-left >= (3a-2)(m1-1)/(3a-4)" fails
     at four small (a, m1) corners even though every integer n in those
     windows passes; such corners are reported in
@@ -295,62 +325,70 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     """
     need_int(n, 2, "verify_lemma2_reduction")
     need_int(cex_cap, 0, "verify_lemma2_reduction", "cex_cap")
+    counts = _partition_counts(n)
     space = 0
     violations: list[dict] = []
     literal_notes: list[dict] = []
-    mus_by_len: dict[int, list[Partition]] = {}
-    for mu in enumerate_partitions(n):
-        if mu.is_trivial_orbit():
-            continue
-        mus_by_len.setdefault(mu.length, []).append(mu)
 
     for m1 in range(2, n + 1):
         cases = lemma2_reduction_cases(n, m1)
         s = n - m1 + 1
 
-        # (i) positivity on the case partitions
-        for case in cases:
-            for mu in mus_by_len.get(m1, ()):
-                space += 1
-                margin = lemma2_I(case.partition, mu)
-                if margin <= 0:
-                    violations.append(
-                        {
-                            "branch": "i",
-                            "case": list(case.partition.parts),
-                            "mu": list(mu.parts),
-                            "margin": margin,
-                        }
-                    )
-                if case.a == 2 and case.p2 == 0:
-                    m = mu.transpose().parts
-                    pair_sum = (sum(m) ** 2 - sum(x * x for x in m)) // 2
-                    alt = pair_sum + (n * m1 - n * n) // 2
-                    if alt != margin:
+        # (i) positivity on the case partitions; lemma2_I reads mu only
+        # through its rep dim, smallest at balanced_partition(n, m1)
+        if m1 < n:
+            space += len(cases) * counts[n - m1][m1]
+            low = balanced_partition(n, m1)
+            for case in cases:
+                rect = case.a == 2 and case.p2 == 0
+                if not rect and lemma2_I(case.partition, low) > 0:
+                    continue
+                for mu in _of_length(n, m1):
+                    margin = lemma2_I(case.partition, mu)
+                    if margin <= 0:
                         violations.append(
                             {
-                                "branch": "i-alt",
+                                "branch": "i",
                                 "case": list(case.partition.parts),
                                 "mu": list(mu.parts),
                                 "margin": margin,
-                                "alternate": alt,
                             }
                         )
+                    if rect:
+                        m = mu.transpose().parts
+                        pair_sum = (sum(m) ** 2 - sum(x * x for x in m)) // 2
+                        alt = pair_sum + (n * m1 - n * n) // 2
+                        if alt != margin:
+                            violations.append(
+                                {
+                                    "branch": "i-alt",
+                                    "case": list(case.partition.parts),
+                                    "mu": list(mu.parts),
+                                    "margin": margin,
+                                    "alternate": alt,
+                                }
+                            )
 
-        # (ii) the cases are dominated by every candidate lam
-        for lam in enumerate_partitions(n, max_length=s):
-            if lam.parts[0] > m1 - 1:
-                continue
-            space += 1
-            if not any(lam.dominates(c.partition) for c in cases):
-                violations.append(
-                    {
-                        "branch": "ii",
-                        "m1": m1,
-                        "lambda": list(lam.parts),
-                        "cases": [list(c.partition.parts) for c in cases],
-                    }
-                )
+        # (ii) the cases are dominated by every candidate lam.  The candidates
+        # fill an s x (m1-1) box: the partitions into at most s parts, less
+        # those whose largest part t >= m1 leaves n - t < s in parts <= t.
+        # All dominate balanced_partition(n, s), itself one when box > 0.
+        box = counts[n][s] - sum(counts[n - t][t] for t in range(m1, n + 1))
+        space += box
+        low = balanced_partition(n, s)
+        if box and not any(low.dominates(c.partition) for c in cases):
+            for lam in enumerate_partitions(n, max_length=s):
+                if lam.parts[0] > m1 - 1:
+                    continue
+                if not any(lam.dominates(c.partition) for c in cases):
+                    violations.append(
+                        {
+                            "branch": "ii",
+                            "m1": m1,
+                            "lambda": list(lam.parts),
+                            "cases": [list(c.partition.parts) for c in cases],
+                        }
+                    )
 
         # (iii) window margin for a >= 3; fractions (denominators > 0) cross-multiplied
         for a in range(3, m1 + 1):
@@ -388,14 +426,25 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
 def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """Any two orbits of length at most n/2 have rep dims summing past
-    n(n-1)/2, and each such orbit dominates the all-twos floor."""
+    n(n-1)/2, and each such orbit dominates the all-twos floor.
+
+    Aggregated: every such orbit dominates balanced_partition(n, n // 2),
+    which has the smallest rep dim among them, so when that one clears half
+    the bound and dominates the floor, every pair and every orbit passes.
+    The orbits are walked through _pair_sweep only when it does not; their
+    number comes from _partition_counts.
+    """
     need_int(n, 2, "verify_prop3")
     need_int(cex_cap, 0, "verify_prop3", "cex_cap")
-    lams = list(enumerate_partitions(n, max_length=n // 2))
-    space, violations = _pair_sweep(lams, dominance_floor(n), n * (n - 1) // 2, "orbit")
-    return _finish(
-        "prop3", {"n": n, "orbits": len(lams)}, space, violations, cex_cap
-    )
+    k = _partition_counts(n)[n][n // 2]
+    floor = dominance_floor(n)
+    bound = n * (n - 1) // 2
+    low = balanced_partition(n, n // 2)
+    violations: list[dict] = []
+    if 2 * low.rep_dim() <= bound or not low.dominates(floor):
+        lams = list(enumerate_partitions(n, max_length=n // 2))
+        _, violations = _pair_sweep(lams, floor, bound, "orbit")
+    return _finish("prop3", {"n": n, "orbits": k}, k * (k + 1) // 2 + k, violations, cex_cap)
 
 
 # -- residual block bookkeeping -------------------------------------------------
@@ -434,7 +483,10 @@ def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     m1s = tuple(m1s)
     need_int(l, 2, "check_corollary1", "l")
     if len(m1s) != l:
-        raise InvalidInputError(f"expected {echo(l)} blocks, got {len(m1s)}")
+        raise InvalidInputError(
+            f"check_corollary1 needs one block per representation, got l={echo(l)} and "
+            f"{len(m1s)} blocks"
+        )
     _check_blocks("check_corollary1", n, m1s)
     return sum(m1s) >= n * (l - 1) + 2
 

@@ -192,10 +192,10 @@ NEG = "a negative integer of 16610 bits"
         (lambda: dimeq.verify_epsilon_orbit_claim(4 * HUGE, 2, 3), InvalidInputError,
          "need n == p*q, got n=an integer of 16612 bits, p=2, q=3"),
         (lambda: dimeq.check_corollary1(4, HUGE, (3, 3)), InvalidInputError,
-         "expected an integer of 16610 bits blocks, got 2"),
+         "check_corollary1 needs one block per representation, got l=an integer of 16610 bits "
+         "and 2 blocks"),
         (lambda: EpsilonVector(HUGE, ()), InvalidInputError,
-         "epsilon vector for n=an integer of 16610 bits needs an integer of 16610 bits bits, "
-         "got 0"),
+         "EpsilonVector needs n - 1 bits, got n=an integer of 16610 bits and 0 bits"),
         (lambda: EpsilonVector(-HUGE, ()), InvalidInputError,
          f"EpsilonVector needs n >= 2, got {NEG}"),
         (lambda: Lemma2Case(-HUGE, 1, 0), InvalidInputError, f"Lemma2Case needs a >= 2, got {NEG}"),
@@ -243,7 +243,7 @@ def sweeps_refused(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("swept")
 
-    for name in ("enumerate_partitions", "_pair_sweep", "_block_sweep"):
+    for name in ("enumerate_partitions", "_pair_sweep", "_block_sweep", "_partition_counts"):
         monkeypatch.setattr(theorems, name, refused)
 
 

@@ -1,6 +1,7 @@
 """Exhaustive verifiers and the vanishing-verdict engine."""
 
 import ast
+import bisect
 import collections
 import hashlib
 import inspect
@@ -56,7 +57,16 @@ from dimeq import (
     verify_prop4,
     verify_prop5,
 )
-from dimeq.theorems import VERIFIERS, _block_sweep, _finish, _pair_sweep, verification_sweep
+from dimeq.partitions import balanced_partition
+from dimeq.theorems import (
+    VERIFIERS,
+    _block_sweep,
+    _finish,
+    _pair_sweep,
+    _partition_counts,
+    _ratio,
+    verification_sweep,
+)
 
 T = TrivialConstituent
 
@@ -438,8 +448,10 @@ class TestCorollary1:
             # with several faults, the first check in this order reports:
             # l, then the block count, then n, then each block in turn
             (1, 1, (0,), "check_corollary1 needs l >= 2, got 1"),
-            (5, 2, (9, 9, 9), "expected 2 blocks, got 3"),
-            (1, 3, (9, 9), "expected 3 blocks, got 2"),
+            (5, 2, (9, 9, 9),
+             "check_corollary1 needs one block per representation, got l=2 and 3 blocks"),
+            (1, 3, (9, 9),
+             "check_corollary1 needs one block per representation, got l=3 and 2 blocks"),
             (1, 2, (0, 0), "check_corollary1 needs n >= 2, got 1"),
             (5, 2, (9, 0), "check_corollary1 needs block in [1, 4], got 9"),
         ],
@@ -650,6 +662,291 @@ class TestPrunedSweepsMatchOracles:
         assert r.space_size == sum(math.comb(39, z) for z in range(19))
         assert r.space_size == 205954642534
         assert r.passed
+
+
+# -- enumerating oracles for the dominance-minimum sweeps ----------------------
+
+
+def lemma2_oracle(n, cex_cap=100):
+    """verify_lemma2 as it was before the dominance minima: every nontrivial
+    partition listed, a prefix minimum of orbit dims per length bound."""
+    lams = sorted(
+        (p for p in enumerate_partitions(n) if not p.is_trivial_orbit()),
+        key=lambda p: p.length,
+    )
+    odims = [p.orbit_dim() for p in lams]
+    lengths = [p.length for p in lams]
+    prefix_min = list(itertools.accumulate(odims, min))
+    bound = n * n - n
+    space = 0
+    violations = []
+    for mu, mu_dim in zip(lams, odims):
+        k = bisect.bisect_right(lengths, n - mu.length + 1)
+        space += k
+        if mu_dim + prefix_min[k - 1] > bound:
+            continue
+        for lam, lam_dim in zip(lams[:k], odims):
+            s = mu_dim + lam_dim
+            if s <= bound:
+                violations.append(
+                    {
+                        "mu": list(mu.parts),
+                        "lambda": list(lam.parts),
+                        "orbit_dim_sum": s,
+                        "must_exceed": bound,
+                    }
+                )
+    return _finish("lemma2", {"n": n}, space, violations, cex_cap)
+
+
+def prop3_oracle(n, cex_cap=100):
+    """verify_prop3 as it was before the dominance minima: every orbit of
+    length at most n/2 listed and handed to _pair_sweep."""
+    lams = list(enumerate_partitions(n, max_length=n // 2))
+    floor = dimeq.theorems.dominance_floor(n)
+    space, violations = _pair_sweep(lams, floor, n * (n - 1) // 2, "orbit")
+    return _finish("prop3", {"n": n, "orbits": len(lams)}, space, violations, cex_cap)
+
+
+def reduction_oracle(n, cex_cap=100):
+    """verify_lemma2_reduction as it was before the dominance minima: every
+    (case, mu) pair of branch (i) and every candidate of branch (ii) visited."""
+    space = 0
+    violations = []
+    literal_notes = []
+    mus_by_len = {}
+    for mu in enumerate_partitions(n):
+        if not mu.is_trivial_orbit():
+            mus_by_len.setdefault(mu.length, []).append(mu)
+    for m1 in range(2, n + 1):
+        cases = dimeq.theorems.lemma2_reduction_cases(n, m1)
+        s = n - m1 + 1
+        for case in cases:
+            for mu in mus_by_len.get(m1, ()):
+                space += 1
+                margin = lemma2_I(case.partition, mu)
+                if margin <= 0:
+                    violations.append(
+                        {
+                            "branch": "i",
+                            "case": list(case.partition.parts),
+                            "mu": list(mu.parts),
+                            "margin": margin,
+                        }
+                    )
+                if case.a == 2 and case.p2 == 0:
+                    m = mu.transpose().parts
+                    pair_sum = (sum(m) ** 2 - sum(x * x for x in m)) // 2
+                    alt = pair_sum + (n * m1 - n * n) // 2
+                    if alt != margin:
+                        violations.append(
+                            {
+                                "branch": "i-alt",
+                                "case": list(case.partition.parts),
+                                "mu": list(mu.parts),
+                                "margin": margin,
+                                "alternate": alt,
+                            }
+                        )
+        for lam in enumerate_partitions(n, max_length=s):
+            if lam.parts[0] > m1 - 1:
+                continue
+            space += 1
+            if not any(lam.dominates(c.partition) for c in cases):
+                violations.append(
+                    {
+                        "branch": "ii",
+                        "m1": m1,
+                        "lambda": list(lam.parts),
+                        "cases": [list(c.partition.parts) for c in cases],
+                    }
+                )
+        for a in range(3, m1 + 1):
+            left, left_den = a * m1 - (a + 1), a - 1
+            if not (left < n * left_den and n * (a - 2) <= (a - 1) * m1 - a):
+                continue
+            space += 1
+            needed, needed_den = (3 * a - 2) * (m1 - 1), 3 * a - 4
+            if n * needed_den < needed:
+                violations.append(
+                    {"branch": "iii", "a": a, "m1": m1, "n": n,
+                     "needed": _ratio(needed, needed_den)}
+                )
+            if left * needed_den < needed * left_den:
+                literal_notes.append(
+                    {"a": a, "m1": m1, "window_left": _ratio(left, left_den),
+                     "needed": _ratio(needed, needed_den)}
+                )
+    params = {"n": n, "literal_side_inequality_failures": literal_notes}
+    return _finish("lemma2_reduction", params, space, violations, cex_cap)
+
+
+MINIMUM_SWEEPS = [
+    ("lemma2", verify_lemma2, lemma2_oracle, range(2, 31)),
+    ("prop3", verify_prop3, prop3_oracle, range(2, 31)),
+    ("lemma2-reduction", verify_lemma2_reduction, reduction_oracle, range(2, 25)),
+]
+
+
+class _FailsEveryCheck(Partition):
+    """A partition that no dominance-minimum check can accept: its orbit
+    dimension is hugely negative and it compares with nothing."""
+
+    __slots__ = ()
+
+    def orbit_dim(self):
+        return -(10**9)
+
+    def compare(self, other):
+        return Dominance.INCOMPARABLE
+
+
+class TestDominanceMinima:
+    """lemma2, prop3 and lemma2-reduction check one dominance minimum per
+    class of cases; their reports equal the enumerating oracles'."""
+
+    @pytest.mark.parametrize("name,verify,oracle,ns", MINIMUM_SWEEPS,
+                             ids=[row[0] for row in MINIMUM_SWEEPS])
+    def test_reports_equal_the_oracles(self, name, verify, oracle, ns):
+        for n in ns:
+            assert same_bytes(verify(n), oracle(n)), n
+
+    @pytest.mark.parametrize("name,verify,oracle,ns", MINIMUM_SWEEPS,
+                             ids=[row[0] for row in MINIMUM_SWEEPS])
+    def test_every_minimum_failing_walks_to_the_same_report(
+        self, monkeypatch, name, verify, oracle, ns
+    ):
+        monkeypatch.setattr(
+            dimeq.theorems, "balanced_partition",
+            lambda n, k: _FailsEveryCheck.from_runs(balanced_partition(n, k).runs),
+        )
+        walks = []
+        real_enumerate = dimeq.theorems.enumerate_partitions
+
+        def spy(*args, **kwargs):
+            walks.append(args)
+            return real_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(dimeq.theorems, "enumerate_partitions", spy)
+        for n in range(4, 15):
+            walks.clear()
+            for cap in CAPS:
+                assert same_bytes(verify(n, cex_cap=cap), oracle(n, cap)), (n, cap)
+            assert walks, n
+
+    @pytest.mark.parametrize("name,verify,oracle,ns", MINIMUM_SWEEPS,
+                             ids=[row[0] for row in MINIMUM_SWEEPS])
+    def test_real_violations_are_walked_like_the_oracles(
+        self, monkeypatch, name, verify, oracle, ns
+    ):
+        # Lower every orbit dimension by one even amount: the minima stay
+        # where they are, and some pairs of every sweep now fail.
+        real_orbit_dim = Partition.orbit_dim
+        for n in range(4, 13):
+            shift = 2 * (n * n // 4)
+            monkeypatch.setattr(Partition, "orbit_dim", lambda p: real_orbit_dim(p) - shift)
+            for cap in CAPS:
+                got, want = verify(n, cex_cap=cap), oracle(n, cap)
+                assert same_bytes(got, want), (n, cap)
+            assert not want.passed, n
+
+    @pytest.mark.parametrize("step,branch", [(-1, "i"), (1, "ii")])
+    def test_cases_of_a_neighbouring_m1_are_walked_like_the_oracle(
+        self, monkeypatch, step, branch
+    ):
+        # The cases of m1 - 1 fail branch (i) at m1, and those of m1 + 1 leave
+        # candidates of branch (ii) at m1 that dominate none of them.
+        real_cases = dimeq.theorems.lemma2_reduction_cases
+        monkeypatch.setattr(
+            dimeq.theorems, "lemma2_reduction_cases",
+            lambda n, m1: real_cases(n, m1 + step) if 2 <= m1 + step <= n else [],
+        )
+        for n in range(4, 15):
+            for cap in CAPS:
+                got, want = verify_lemma2_reduction(n, cex_cap=cap), reduction_oracle(n, cap)
+                assert same_bytes(got, want), (n, cap)
+            assert branch in {v["branch"] for v in reduction_oracle(n).counterexamples}, n
+
+    def test_a_minimum_exactly_at_the_bound_is_walked(self, monkeypatch):
+        # Shift every orbit dimension so that the smallest sum of each sweep
+        # lands on its bound: the pairs there fail, and only a walk finds them.
+        real_orbit_dim = Partition.orbit_dim
+        for n in range(4, 14):
+            low = [0] + [balanced_partition(n, k).orbit_dim() for k in range(1, n)]
+            least = min(low[k] + low[min(n - k + 1, n - 1)] for k in range(1, n))
+            shift = (least - (n * n - n)) // 2
+            monkeypatch.setattr(Partition, "orbit_dim", lambda p: real_orbit_dim(p) - shift)
+            want = lemma2_oracle(n)
+            assert want.counterexamples[0]["orbit_dim_sum"] == n * n - n, n
+            assert same_bytes(verify_lemma2(n), want), n
+            monkeypatch.setattr(Partition, "orbit_dim", real_orbit_dim)
+            if n * (n - 1) % 4 == 0:  # prop3's bound n(n-1)/2 is even
+                shift = 2 * balanced_partition(n, n // 2).rep_dim() - n * (n - 1) // 2
+                monkeypatch.setattr(Partition, "orbit_dim", lambda p: real_orbit_dim(p) - shift)
+                want = prop3_oracle(n)
+                assert want.counterexamples[0]["rep_dim_sum"] == n * (n - 1) // 2, n
+                assert same_bytes(verify_prop3(n), want), n
+                monkeypatch.setattr(Partition, "orbit_dim", real_orbit_dim)
+
+    def test_orbits_below_a_raised_floor_are_walked_like_the_oracle(self, monkeypatch):
+        # With the floor raised to the balanced partition of one part fewer,
+        # the orbits of exactly n // 2 parts fail to dominate it.
+        monkeypatch.setattr(
+            dimeq.theorems, "dominance_floor", lambda n: balanced_partition(n, n // 2 - 1)
+        )
+        for n in range(6, 17):
+            for cap in CAPS:
+                assert same_bytes(verify_prop3(n, cex_cap=cap), prop3_oracle(n, cap)), (n, cap)
+            assert any("fails_to_dominate" in v for v in prop3_oracle(n).counterexamples), n
+
+    def test_no_walk_on_the_verified_ranges(self, monkeypatch):
+        # Every minimum passes, so partitions are listed only for the
+        # rectangles' cross-check: once per even n, the mu of length n/2 + 1.
+        walks = []
+        real_enumerate = dimeq.theorems.enumerate_partitions
+
+        def spy(*args, **kwargs):
+            walks.append((args, kwargs))
+            return real_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(dimeq.theorems, "enumerate_partitions", spy)
+        for name, verify, oracle, ns in MINIMUM_SWEEPS:
+            for n in ns:
+                walks.clear()
+                assert verify(n).passed, (name, n)
+                rect = name == "lemma2-reduction" and n % 2 == 0 and n > 2
+                assert walks == ([((n // 2 - 1,), {"max_length": n // 2 + 1})] if rect else []), (
+                    name, n,
+                )
+
+    def test_balanced_partition_is_the_dominance_minimum(self):
+        for n in range(2, 31):
+            every = list(enumerate_partitions(n))
+            for k in range(1, n):
+                beta = balanced_partition(n, k)
+                assert beta.length == k and beta.n == n, (n, k)
+                assert beta.parts[0] - beta.parts[-1] <= 1, (n, k)
+                dim = beta.orbit_dim()
+                for lam in every:
+                    if lam.length <= k:
+                        assert lam.dominates(beta), (n, k, lam)
+                        assert lam.orbit_dim() >= dim, (n, k, lam)
+
+    def test_balanced_partition_checks_its_arguments(self):
+        assert balanced_partition(7, 7) == Partition((1,) * 7)
+        for k, message in [(0, "balanced_partition needs k in [1, 7], got 0"),
+                           (8, "balanced_partition needs k in [1, 7], got 8"),
+                           (2.0, "balanced_partition needs an integer k, got 2.0")]:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                balanced_partition(7, k)
+
+    def test_count_table_counts_the_partitions(self):
+        table = _partition_counts(30)
+        for m in range(1, 31):
+            lengths = collections.Counter(p.length for p in enumerate_partitions(m))
+            assert table[m] == [sum(c for l, c in lengths.items() if l <= k) for k in range(31)]
+            assert _partition_counts(m) == [row[: m + 1] for row in table[: m + 1]], m
+        assert table[0] == [1] * 31
 
 
 class TestBlockSweep:

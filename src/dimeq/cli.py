@@ -1,24 +1,12 @@
 """Command-line interface.
 
-    dimeq partition dim "[3,3]"
-    dimeq partition transpose "[3,2,2,1]"
-    dimeq partition compare "[3,3]" "[4,1,1]"
-    dimeq partition add "[2,1]" "[1,1]"
-    dimeq partition from-epsilon 10101
-    dimeq rep orbit REP.json          dimeq rep dim REP.json
-    dimeq equation check SPEC.json    dimeq equation check-full SPEC.json
-    dimeq equation reduce --n 6
-    dimeq equation solve --n 4 --l 2 [--exclude-trivial] [--max-one-dominant]
-    dimeq verify lemma1|lemma2|lemma2-reduction|prop3 --n N
-    dimeq verify prop4 --n N --l L [--mode paper|strict]
-    dimeq verify prop5 --n N --q Q --l L
-    dimeq verify epsilon-orbit --n N --p P --q Q
-    dimeq verify all [--max-n N]
-    dimeq vanish SPEC.json [--expect-vanish]
+Run `dimeq --help`, or `dimeq COMMAND --help` for a command's flags and
+limits; README.md lists the commands with examples.
 
 Exit codes: 0 success / statement holds; 1 counterexamples found, equation
-fails, or --expect-vanish unmet; 2 invalid input; 3 resource limit refused;
-4 internal soundness check failed (a bug in dimeq, not in the input).
+fails, or --expect-vanish unmet; 2 invalid input; 3 resource limit refused
+or out of memory; 4 internal soundness check failed (a bug in dimeq, not in
+the input).
 
 Output is deterministic: same invocation, same bytes.  JSON is the default
 format; csv is available for `equation solve`.
@@ -390,6 +378,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

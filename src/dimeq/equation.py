@@ -160,13 +160,10 @@ def enumerate_orbit_solutions(
             if need in reachable:
                 found.append(acc + (need,))
             return
-        maxd = dims[-1]
         for k in range(start, len(dims)):
             d = dims[k]
             if d * slots > need:
                 break  # dims ascending: every later choice overshoots too
-            if d + maxd * (slots - 1) < need:
-                continue
             rec(k, slots - 1, need - d, acc + (d,))
 
     rec(0, l, target, ())

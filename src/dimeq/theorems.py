@@ -94,22 +94,21 @@ def _finish(
 # -- partition counts, for the sweeps that check one minimum per class ----------
 
 
-def _partition_counts(n: int) -> list[list[int]]:
-    """counts[m][k], the number of partitions of m into at most k parts (by
-    transposition, into parts of at most k), for 0 <= m, k <= n.
+def _partition_counts(n: int) -> list[int]:
+    """at_most[k], the number of partitions of n into at most k parts (by
+    transposition, into parts of at most k), for 0 <= k <= n; so n has
+    at_most[k] - at_most[k-1] partitions of exactly k parts.
 
-    One O(n^2) table per call: a partition into at most k parts has fewer
-    than k, or exactly k, and less one from each part it is a partition of
-    m - k into at most k.
+    O(n^2) time in one O(n) row: row[m] counts the partitions of m into parts
+    of at most k, and admitting parts k adds those of m - k.
     """
-    counts = [[1] * (n + 1)]
-    for m in range(1, n + 1):
-        row = [0] * (n + 1)
-        for k in range(1, m + 1):
-            row[k] = row[k - 1] + counts[m - k][k]
-        row[m + 1 :] = [row[m]] * (n - m)
-        counts.append(row)
-    return counts
+    row = [1] + [0] * n
+    at_most = [row[n]]
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            row[m] += row[m - k]
+        at_most.append(row[n])
+    return at_most
 
 
 def _of_length(n: int, length: int) -> list[Partition]:
@@ -216,7 +215,7 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """
     need_int(n, 2, "verify_lemma2")
     need_int(cex_cap, 0, "verify_lemma2", "cex_cap")
-    counts = _partition_counts(n)
+    at_most = _partition_counts(n)
     # low[k]: the smallest orbit dimension of a partition with at most k parts
     low = [0] + [balanced_partition(n, k).orbit_dim() for k in range(1, n)]
     bound = n * n - n
@@ -225,7 +224,7 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     violations: list[dict] = []
     for length in range(1, n):
         most = min(n - length + 1, n - 1)
-        space += counts[n - length][length] * counts[n][most]
+        space += (at_most[length] - at_most[length - 1]) * at_most[most]
         if low[length] + low[most] > bound:
             continue
         lams = list(enumerate_partitions(n, max_length=most))
@@ -325,7 +324,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     """
     need_int(n, 2, "verify_lemma2_reduction")
     need_int(cex_cap, 0, "verify_lemma2_reduction", "cex_cap")
-    counts = _partition_counts(n)
+    at_most = _partition_counts(n)
     space = 0
     violations: list[dict] = []
     literal_notes: list[dict] = []
@@ -337,7 +336,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
         # (i) positivity on the case partitions; lemma2_I reads mu only
         # through its rep dim, smallest at balanced_partition(n, m1)
         if m1 < n:
-            space += len(cases) * counts[n - m1][m1]
+            space += len(cases) * (at_most[m1] - at_most[m1 - 1])
             low = balanced_partition(n, m1)
             for case in cases:
                 rect = case.a == 2 and case.p2 == 0
@@ -371,9 +370,9 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
         # (ii) the cases are dominated by every candidate lam.  The candidates
         # fill an s x (m1-1) box: the partitions into at most s parts, less
-        # those whose largest part t >= m1 leaves n - t < s in parts <= t.
+        # those of largest part >= m1 (all within s parts), counted transposed.
         # All dominate balanced_partition(n, s), itself one when box > 0.
-        box = counts[n][s] - sum(counts[n - t][t] for t in range(m1, n + 1))
+        box = at_most[s] - (at_most[n] - at_most[m1 - 1])
         space += box
         low = balanced_partition(n, s)
         if box and not any(low.dominates(c.partition) for c in cases):
@@ -436,7 +435,7 @@ def verify_prop3(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
     """
     need_int(n, 2, "verify_prop3")
     need_int(cex_cap, 0, "verify_prop3", "cex_cap")
-    k = _partition_counts(n)[n][n // 2]
+    k = _partition_counts(n)[n // 2]
     floor = dominance_floor(n)
     bound = n * (n - 1) // 2
     low = balanced_partition(n, n // 2)

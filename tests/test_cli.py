@@ -526,6 +526,33 @@ class TestInputBoundary:
         assert rc == 3 and out == ""
         assert err.startswith("resource limit: result too large to print:")
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"n": 4, "representations": [5, {"kind": "generic"}]},
+             "representation must be a JSON object, got 5"),
+            ({"n": 4, "representations": [{"kind": "orbit", "parts": 5}, {"kind": "generic"}]},
+             "orbit needs a \"parts\" list, got {'kind': 'orbit', 'parts': 5}"),
+            ({"n": 4, "representations": [
+                {"kind": "eisenstein", "blocks": 5, "constituents": []}, {"kind": "generic"}]},
+             'eisenstein needs "blocks" and "constituents" lists, '
+             "got {'blocks': 5, 'constituents': [], 'kind': 'eisenstein'}"),
+            ([], "integral spec must be a JSON object, got []"),
+            ({"n": 4}, 'integral spec needs a "representations" list'),
+        ],
+    )
+    def test_malformed_shape_is_exit_2(self, capsys, tmp_path, payload, message):
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "s.json", payload))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_out_of_memory_is_exit_3(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "vanishing_verdict", exhausted)
+        path = write_spec(tmp_path, "triple.json", MINIMAL_TRIPLE_6)
+        assert run_cli(capsys, "vanish", path) == (3, "", "resource limit: out of memory\n")
+
     def test_spec_not_utf8_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'\xff{"n": 3}')

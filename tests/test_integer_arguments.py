@@ -20,7 +20,7 @@ from dimeq import (
     theorems,
 )
 from dimeq import TrivialConstituent as T
-from dimeq.errors import echo
+from dimeq.errors import ECHO_LIMIT, echo
 
 # (id, call, valid keyword arguments, who).  A tuple argument holds blocks:
 # its first block is replaced, and the message names a "block".
@@ -234,6 +234,12 @@ def test_echo_names_a_long_int_inside_a_list():
     assert echo([-HUGE, 1]) == f"[{NEG}, 1]"
     assert echo((HUGE,)) == "(an integer of 16610 bits,)"
     assert echo(10**45) == "100000000000000000...0000000000000000000"
+
+
+def test_echo_cuts_at_its_limit():
+    text = echo({"a": "x" * 100, "b": "y" * 100, "c": "z" * 100})
+    assert len(text) == ECHO_LIMIT == 200
+    assert text.startswith("{'a': 'xxx") and text.endswith("zzz...")
 
 
 @pytest.fixture

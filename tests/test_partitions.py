@@ -196,6 +196,7 @@ class TestConstruction:
         e = Partition()
         assert e.n == 0 and e.length == 0
         assert (e + Partition([3, 1])).parts == (3, 1)
+        assert (Partition([3, 1]) + e).parts == (3, 1)
 
     def test_empty_rejects_orbit_operations(self):
         e = Partition()
@@ -336,6 +337,10 @@ class TestAddition:
         assert (Partition([2, 1]) + Partition([1, 1])).parts == (3, 2)
         assert (Partition([2, 2]) + Partition([1, 1])).parts == (3, 3)
         assert (Partition([1] * 5) + Partition([1])).parts == (2, 1, 1, 1, 1)
+
+    def test_non_partition_summand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Partition((1,)) + 1
 
     def test_commutative(self):
         for n1 in range(1, 6):

@@ -52,6 +52,11 @@ class TestDescriptors:
         assert Generic(3) == Generic(3) and hash(Generic(3)) == hash(Generic(3))
         assert repr(ExplicitOrbit(Partition([3, 1]))) == "ExplicitOrbit(orbit=Partition([3, 1]))"
 
+    def test_eisenstein_from_lists_is_the_tuple_form(self):
+        listed = Eisenstein([5, 1], [Generic(5), T(1)])
+        tupled = Eisenstein((5, 1), (Generic(5), T(1)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+
     def test_non_descriptors_rejected(self):
         for bad in ("generic", Partition([2]), None):
             with pytest.raises(InvalidInputError):
@@ -327,6 +332,21 @@ class TestErrorMessages:
                 lambda: Eisenstein((3, 2), (Generic(3), Generic(3))),
                 "constituent of rank 3 attached to block of size 2",
             ),
+            (lambda: ExplicitOrbit([4]), "ExplicitOrbit needs a Partition"),
+            (lambda: ExplicitOrbit(Partition()), "ExplicitOrbit needs a nonempty partition"),
+            # wire values of the wrong JSON shape
+            (lambda: rep_from_json(5), "representation must be a JSON object, got 5"),
+            (
+                lambda: rep_from_json({"kind": "orbit", "parts": 5}),
+                "orbit needs a \"parts\" list, got {'kind': 'orbit', 'parts': 5}",
+            ),
+            (
+                lambda: rep_from_json({"kind": "eisenstein", "blocks": 5, "constituents": []}),
+                'eisenstein needs "blocks" and "constituents" lists, '
+                "got {'blocks': 5, 'constituents': [], 'kind': 'eisenstein'}",
+            ),
+            (lambda: spec_from_json([]), "integral spec must be a JSON object, got []"),
+            (lambda: spec_from_json({"n": 4}), 'integral spec needs a "representations" list'),
         ],
     )
     def test_library_path(self, build, message):

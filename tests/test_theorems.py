@@ -941,12 +941,22 @@ class TestDominanceMinima:
                 balanced_partition(7, k)
 
     def test_count_table_counts_the_partitions(self):
-        table = _partition_counts(30)
-        for m in range(1, 31):
-            lengths = collections.Counter(p.length for p in enumerate_partitions(m))
-            assert table[m] == [sum(c for l, c in lengths.items() if l <= k) for k in range(31)]
-            assert _partition_counts(m) == [row[: m + 1] for row in table[: m + 1]], m
-        assert table[0] == [1] * 31
+        # the empty partition of 0 has no parts; enumerate_partitions needs n >= 1
+        assert _partition_counts(0) == [1]
+        for n in range(1, 31):
+            lengths = collections.Counter(p.length for p in enumerate_partitions(n))
+            at_most = [sum(c for l, c in lengths.items() if l <= k) for k in range(n + 1)]
+            assert _partition_counts(n) == at_most, n
+
+    def test_count_table_holds_one_row(self):
+        tracemalloc.start()
+        try:
+            at_most = _partition_counts(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert at_most[2000] == 4720819175619413888601432406799959512200344166
+        assert peak < 1_000_000
 
 
 class TestBlockSweep:

@@ -153,15 +153,21 @@ def cmd_equation_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distinct_orbits(solutions: list[tuple[Partition, ...]]) -> dict[int, Partition]:
+    """The solutions' orbits by id: solutions share one object per orbit, and
+    all of them stay alive while the output is rendered, so an id names one."""
+    return {id(p): p for p in chain.from_iterable(solutions)}
+
+
 def _solutions_csv(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
-    orbits = dict.fromkeys(chain.from_iterable(solutions))
+    orbits = _distinct_orbits(solutions)
     # each orbit's partition,rep_dim cells go through the csv writer once
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([str(p), p.rep_dim()] for p in orbits)
+    csv.writer(buf, lineterminator="\n").writerows([str(p), p.rep_dim()] for p in orbits.values())
     cells = dict(zip(orbits, buf.getvalue().split("\n")))
     lines = ["n,l,solution_index,orbit_index,partition,rep_dim"]
-    lines += [f"{n},{l},{si},{oi},{cells[p]}" for si, sol in enumerate(solutions)
-              for oi, p in enumerate(sol)]
+    lines += [f"{n},{l},{si},{oi},{cells[i]}" for si, sol in enumerate(solutions)
+              for oi, i in enumerate(map(id, sol))]
     return "\n".join(lines)
 
 
@@ -175,13 +181,13 @@ def cmd_equation_solve(args: argparse.Namespace) -> int:
         _write(args, _solutions_csv(n, l, solutions))
         return 0
     # each orbit rendered once; str(p) is also p's compact JSON array
-    labels = {p: str(p) for p in dict.fromkeys(chain.from_iterable(solutions))}
+    labels = {i: str(p) for i, p in _distinct_orbits(solutions).items()}.__getitem__
     if args.format == "text":
         lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
-        lines += ["  " + " + ".join([labels[p] for p in sol]) for sol in solutions]
+        lines += ["  " + " + ".join(map(labels, map(id, sol))) for sol in solutions]
         _write(args, "\n".join(lines))
     else:
-        rows = ",".join(["[" + ",".join([labels[p] for p in sol]) + "]" for sol in solutions])
+        rows = ",".join(["[" + ",".join(map(labels, map(id, sol))) + "]" for sol in solutions])
         _write(args, f'{{"n":{n},"l":{l},"target":{n * (n - 1) // 2},'
                      f'"count":{len(solutions)},"solutions":[{rows}]}}')
     return 0

@@ -91,13 +91,31 @@ def _orbits_of_costs(n: int, reach: list[list[int]], wanted: int) -> list[tuple[
     """(orbit, rep_dim) for each orbit of GL_n whose cost is a bit of wanted, sorted
     by runs descending, which is reverse-lexicographic order of the parts.  The
     walk adds columns in descending order and enters a branch only if its reach
-    can still land on a wanted cost; each orbit's rep_dim is checked against it."""
+    can still land on a wanted cost; each orbit's rep_dim is checked against it.
+
+    At a leaf the orbit's rows are read off the column stack: row r meets every
+    column of length >= r, so scanning the distinct column lengths from the
+    shortest (the left implicit 1-columns) up gives its runs, longest row first."""
     top = n * (n - 1) // 2
     out: list[tuple[Partition, int]] = []
+    cols: list[int] = []
 
-    def walk(most: int, left: int, spent: int, cols: tuple[int, ...]) -> None:
+    def walk(most: int, left: int, spent: int) -> None:
         if most == 1 or not left:  # any columns left are 1-columns, of cost 0
-            p = Partition(cols + (1,) * left).transpose()
+            runs = []
+            width = len(cols) + left  # columns of length >= h
+            low, h, k = 0, 1, left  # rows below low are done; k columns of length h
+            for c in reversed(cols):
+                if c == h:
+                    k += 1
+                    continue
+                if k:
+                    runs.append((width, h - low))
+                    width -= k
+                    low = h
+                h, k = c, 1
+            runs.append((width, h - low))
+            p = Partition._of_runs(tuple(runs), n, cols[0])
             if p.rep_dim() != top - spent:
                 raise InternalError(f"{p}: rep_dim {p.rep_dim()} != C(n,2) - cost {top - spent}")
             out.append((p, top - spent))
@@ -106,9 +124,11 @@ def _orbits_of_costs(n: int, reach: list[list[int]], wanted: int) -> list[tuple[
         for c in range(min(most, left), 0, -1):
             cost = c * (c - 1) // 2
             if (reach[c][left - c] << cost) & wanted_here:
-                walk(c, left - c, spent + cost, cols + (c,))
+                cols.append(c)
+                walk(c, left - c, spent + cost)
+                cols.pop()
 
-    walk(n, n, 0, ())
+    walk(n, n, 0)
     out.sort(key=lambda pd: pd[0].runs, reverse=True)
     return out
 
@@ -136,12 +156,13 @@ def enumerate_orbit_solutions(
     dimensions are a knapsack over column sizes (_cost_reach).  Only the
     orbits whose dimension some solution uses are built (_orbits_of_costs).
 
-    Refuses searches beyond (max_n, max_l) with ResourceLimitError.
+    Refuses searches beyond (max_n, max_l) with ResourceLimitError; a bound
+    that admits no search at all (max_n < 2 or max_l < 1) is invalid input.
     """
     need_int(n, 2, "solution search")
     need_int(l, 1, "solution search", "l")
-    need_int(max_n, None, "solution search", "max_n")
-    need_int(max_l, None, "solution search", "max_l")
+    need_int(max_n, 2, "solution search", "max_n")
+    need_int(max_l, 1, "solution search", "max_l")
     if n > max_n or l > max_l:
         raise ResourceLimitError(
             f"solution search n={echo(n)}, l={echo(l)} exceeds bounds max_n={echo(max_n)}, "

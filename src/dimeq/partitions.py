@@ -157,7 +157,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.parts)) + "]"
+        return "[" + ",".join([",".join([str(v)] * m) for v, m in self._runs]) + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

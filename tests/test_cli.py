@@ -262,6 +262,20 @@ class TestEquationCommands:
         rc, out, err = run_cli(capsys, "equation", "solve", "--n", "13", "--l", "2")
         assert rc == 3 and out == "" and err.startswith("resource limit:")
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-n", "-5", "max_n >= 2, got -5"),
+            ("--max-n", "1", "max_n >= 2, got 1"),
+            ("--max-l", "0", "max_l >= 1, got 0"),
+        ],
+    )
+    def test_solve_bound_that_admits_no_search_is_exit_2(self, capsys, flag, value, message):
+        # no n >= 2 or l >= 1 fits under it: invalid input, not a resource limit
+        rc, out, err = run_cli(capsys, "equation", "solve", "--n", "4", "--l", "2", flag, value)
+        assert rc == 2 and out == ""
+        assert err == f"error: solution search needs {message}\n"
+
     def test_solve_flag_raises_bound(self, capsys):
         rc, out, _ = run_cli(
             capsys, "equation", "solve", "--n", "13", "--l", "2", "--max-n", "13"

@@ -229,17 +229,28 @@ class TestCostWalk:
     @pytest.mark.parametrize("exclude_trivial", [False, True])
     def test_full_cost_set_builds_every_orbit(self, exclude_trivial):
         # rep_dim = C(n,2) - sum_j C(lam'_j, 2): the knapsack over column sizes
-        # and the walk it prunes, against enumerate_partitions and rep_dim
+        # and the walk it prunes, against enumerate_partitions and rep_dim.
+        # Each orbit is built unchecked from its column stack, so its n and
+        # length are compared too, not just its runs (all that == reads).
+        def view(p):
+            return (p.runs, p.n, p.length, p.parts, str(p))
+
         for n in range(2, 31):
             reach = equation._cost_reach(n, exclude_trivial)
-            got: dict[int, list[Partition]] = {}
+            got: dict[int, list[tuple]] = {}
             for p, d in equation._orbits_of_costs(n, reach, reach[n][n]):
-                got.setdefault(d, []).append(p)
-            want: dict[int, list[Partition]] = {}
+                got.setdefault(d, []).append(view(p))
+            want: dict[int, list[tuple]] = {}
             for p in enumerate_partitions(n):
                 if not (exclude_trivial and p.is_trivial_orbit()):
-                    want.setdefault(p.rep_dim(), []).append(p)
+                    want.setdefault(p.rep_dim(), []).append(view(p))
             assert got == want, (n, exclude_trivial)
+
+    def test_solutions_share_one_object_per_orbit(self):
+        # the CLI renders each orbit once, keyed by id: sharing is what makes
+        # that fast (correctness needs only that every object stays alive)
+        orbits = [p for sol in enumerate_orbit_solutions(20, 3, max_n=20) for p in sol]
+        assert len({id(p) for p in orbits}) == len(set(orbits)) > 1
 
     def test_wrong_cost_is_an_internal_error(self, monkeypatch):
         rep_dim = Partition.rep_dim

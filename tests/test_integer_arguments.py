@@ -156,6 +156,10 @@ BOUNDS = [
      "verify_epsilon_orbit_claim needs q >= 1, got 0"),
     ("sweep-max_n", lambda max_n: theorems.verification_sweep(max_n=max_n), 2, 1,
      "verification_sweep needs max_n >= 2, got 1"),
+    ("solve-max_n", lambda max_n: dimeq.enumerate_orbit_solutions(2, 1, max_n=max_n), 2, 1,
+     "solution search needs max_n >= 2, got 1"),
+    ("solve-max_l", lambda max_l: dimeq.enumerate_orbit_solutions(2, 1, max_l=max_l), 1, 0,
+     "solution search needs max_l >= 1, got 0"),
 ]
 
 

@@ -522,7 +522,7 @@ class TestRunLengthStorage:
         assert lam == Partition([3, 3, 1, 1, 1, 1])
         assert hash(lam) == hash(Partition([3, 3, 1, 1, 1, 1]))
         assert lam.multiplicities() == {3: 2, 1: 4}
-        assert Partition.from_runs([]) == Partition()
+        assert Partition.from_runs([]) == Partition() and str(Partition()) == "[]"
         assert Partition.from_runs([(2, 3)]).rectangle() == (2, 3)
         assert lam.rectangle() is None
 
@@ -583,6 +583,15 @@ class TestRunLengthStorage:
     def test_seeded_random_runs_match_reference(self, seed):
         rng = random.Random(seed)
         check_random_pair(random_runs(rng), random_runs(rng))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_str_from_runs_matches_parts(self, seed):
+        # str joins the runs without building parts; the bytes are those of parts
+        p = Partition.from_runs(random_runs(random.Random(seed)))
+        text = str(p)
+        assert p._parts is None
+        assert text == "[" + ",".join(map(str, p.parts)) + "]"
+        assert Partition.parse(text) == p
 
     def test_random_runs_match_reference(self):
         hypothesis = pytest.importorskip("hypothesis")

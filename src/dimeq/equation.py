@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import InternalError, InvalidInputError, ResourceLimitError, echo, need_int
-from .partitions import Partition, dominance_floor
+from .partitions import Partition
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
 DEFAULT_MAX_N = 12
@@ -146,10 +146,12 @@ def enumerate_orbit_solutions(
 
     Solutions are unordered: each is returned once, its partitions sorted
     largest-first lexicographically, and the solution list itself sorted the
-    same way.  exclude_trivial drops the zero orbit (1^n) from the alphabet;
-    max_one_dominant keeps only solutions in which at most one orbit
-    dominates the all-twos floor (a no-op in practice — no solution can
-    afford two such orbits — but checkable rather than assumed).
+    same way.  exclude_trivial drops the zero orbit (1^n) from the alphabet.
+    max_one_dominant asks for at most one orbit dominating the all-twos floor
+    per solution, which every solution already has, so it filters nothing:
+    the floor's orbit dim is n^2/2 (even n) or (n^2-1)/2 (odd n), above
+    n(n-1)/2, and orbit dim grows with dominance, so two orbits dominating
+    the floor have rep dims summing past C(n,2).
 
     The search runs over dimensions, not partitions: with column lengths
     lam'_j, rep_dim(lam) = C(n,2) - sum_j C(lam'_j, 2), so the achievable
@@ -198,9 +200,6 @@ def enumerate_orbit_solutions(
     groups: dict[int, list[int]] = {}
     for i, (_, d) in enumerate(orbits):
         groups.setdefault(d, []).append(i)
-    if max_one_dominant:
-        floor = dominance_floor(n)
-        dominant = [p.dominates(floor) for p in alphabet]
     solutions: list[tuple[int, ...]] = []
     for dimset in found:
         picks = [
@@ -208,9 +207,6 @@ def enumerate_orbit_solutions(
             for d, same in groupby(dimset)
         ]
         for pick in product(*picks):
-            idxs = tuple(sorted(chain.from_iterable(pick)))
-            if max_one_dominant and sum(dominant[i] for i in idxs) > 1:
-                continue
-            solutions.append(idxs)
+            solutions.append(tuple(sorted(chain.from_iterable(pick))))
     solutions.sort()
     return [tuple([alphabet[i] for i in idxs]) for idxs in solutions]

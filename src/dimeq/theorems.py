@@ -304,9 +304,10 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     """Three checks that the near-rectangular reduction is sound at this n.
 
     (i)   every case partition satisfies the positivity inequality against
-          every nontrivial mu with the matching transpose head m1 (for the
-          a=2, p2=0 rectangles, the margin is also recomputed from mu's
-          transpose, apart from lemma2_I's rep_dim, and the two must agree);
+          every nontrivial mu with the matching transpose head m1; the
+          smallest rep dim of such a mu, which (i) reads off
+          balanced_partition(n, m1), is recomputed by columns (i-alt), apart
+          from rep_dim's row formula, and the two must agree;
     (ii)  every candidate lam (head at most m1-1, length at most n-m1+1)
           dominates some case partition, so the cases really are the floor
           of the search space;
@@ -314,8 +315,10 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
           (3a-2)(m1-1)/(3a-4) — the margin the window argument consumes.
 
     (i) and (ii) are aggregated: each checks the dominance minimum of its
-    class of mu or lam, walks the class only when that fails (or, in (i),
-    for the rectangles' cross-check), and counts it from _partition_counts.
+    class of mu or lam, walks the class only when that fails, and counts it
+    from _partition_counts.  The i-alt minimum comes from one row of a
+    max-plus knapsack over column lengths, grown with m1, so the whole check
+    takes O(n^2) steps.
 
     The bare-rational comparison "window-left >= (3a-2)(m1-1)/(3a-4)" fails
     at four small (a, m1) corners even though every integer n in those
@@ -328,19 +331,30 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     space = 0
     violations: list[dict] = []
     literal_notes: list[dict] = []
+    # best[t]: the largest sum of C(c_j, 2) over columns c_j <= m1 summing to t
+    best = [0] * (n + 1)
 
     for m1 in range(2, n + 1):
         cases = lemma2_reduction_cases(n, m1)
         s = n - m1 + 1
 
         # (i) positivity on the case partitions; lemma2_I reads mu only
-        # through its rep dim, smallest at balanced_partition(n, m1)
+        # through its rep dim, smallest at balanced_partition(n, m1).  That
+        # premise is checked by columns: a mu of length m1 has a column of m1
+        # and others of at most m1, and rep dim C(n,2) - sum C(c_j, 2).
         if m1 < n:
             space += len(cases) * (at_most[m1] - at_most[m1 - 1])
+            pair = m1 * (m1 - 1) // 2
+            for t in range(m1, n + 1):
+                best[t] = max(best[t], best[t - m1] + pair)
             low = balanced_partition(n, m1)
+            alt = n * (n - 1) // 2 - pair - best[n - m1]
+            if alt != low.rep_dim():
+                violations.append(
+                    {"branch": "i-alt", "m1": m1, "rep_dim": low.rep_dim(), "alternate": alt}
+                )
             for case in cases:
-                rect = case.a == 2 and case.p2 == 0
-                if not rect and lemma2_I(case.partition, low) > 0:
+                if lemma2_I(case.partition, low) > 0:
                     continue
                 for mu in _of_length(n, m1):
                     margin = lemma2_I(case.partition, mu)
@@ -353,20 +367,6 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
                                 "margin": margin,
                             }
                         )
-                    if rect:
-                        m = mu.transpose().parts
-                        pair_sum = (sum(m) ** 2 - sum(x * x for x in m)) // 2
-                        alt = pair_sum + (n * m1 - n * n) // 2
-                        if alt != margin:
-                            violations.append(
-                                {
-                                    "branch": "i-alt",
-                                    "case": list(case.partition.parts),
-                                    "mu": list(mu.parts),
-                                    "margin": margin,
-                                    "alternate": alt,
-                                }
-                            )
 
         # (ii) the cases are dominated by every candidate lam.  The candidates
         # fill an s x (m1-1) box: the partitions into at most s parts, less

@@ -185,13 +185,12 @@ class TestSolve:
 
     def test_max_one_dominant_is_checkably_redundant(self):
         # two orbits above the floor each cost more than half the budget, so
-        # no genuine solution is ever filtered; the flag verifies rather
-        # than assumes that.
-        for n in range(2, 9):
-            for l in range(1, 4):
-                assert enumerate_orbit_solutions(n, l) == enumerate_orbit_solutions(
-                    n, l, max_one_dominant=True
-                )
+        # the flag filters nothing: no solution holds two of them
+        for n in range(2, 21):
+            floor = dominance_floor(n)
+            for l in range(1, 5):
+                for sol in enumerate_orbit_solutions(n, l, max_n=20):
+                    assert sum(p.dominates(floor) for p in sol) <= 1, (n, sol)
 
     def test_no_solution_holds_two_nontrivial_rectangles(self):
         # consistency with the rectangular-pair obstruction, well past the
@@ -202,13 +201,6 @@ class TestSolve:
                     p for p in sol if p.rectangle() is not None and p.parts[0] >= 2
                 ]
                 assert len(rects) <= 1, (n, sol)
-
-    def test_dominant_count_never_exceeds_one(self):
-        for n in range(2, 13):
-            floor = dominance_floor(n)
-            for l in range(1, 4):
-                for sol in enumerate_orbit_solutions(n, l):
-                    assert sum(p.dominates(floor) for p in sol) <= 1
 
     def test_resource_limits(self):
         with pytest.raises(ResourceLimitError):

@@ -710,7 +710,8 @@ def prop3_oracle(n, cex_cap=100):
 
 def reduction_oracle(n, cex_cap=100):
     """verify_lemma2_reduction as it was before the dominance minima: every
-    (case, mu) pair of branch (i) and every candidate of branch (ii) visited."""
+    (case, mu) pair of branch (i) and every candidate of branch (ii) visited,
+    and i-alt's smallest rep dim taken over the listed mu's transposes."""
     space = 0
     violations = []
     literal_notes = []
@@ -721,6 +722,16 @@ def reduction_oracle(n, cex_cap=100):
     for m1 in range(2, n + 1):
         cases = dimeq.theorems.lemma2_reduction_cases(n, m1)
         s = n - m1 + 1
+        if m1 < n:
+            rep_dim = dimeq.theorems.balanced_partition(n, m1).rep_dim()
+            alt = min(
+                (sum(m) ** 2 - sum(x * x for x in m)) // 2
+                for m in (mu.transpose().parts for mu in mus_by_len[m1])
+            )
+            if alt != rep_dim:
+                violations.append(
+                    {"branch": "i-alt", "m1": m1, "rep_dim": rep_dim, "alternate": alt}
+                )
         for case in cases:
             for mu in mus_by_len.get(m1, ()):
                 space += 1
@@ -734,20 +745,6 @@ def reduction_oracle(n, cex_cap=100):
                             "margin": margin,
                         }
                     )
-                if case.a == 2 and case.p2 == 0:
-                    m = mu.transpose().parts
-                    pair_sum = (sum(m) ** 2 - sum(x * x for x in m)) // 2
-                    alt = pair_sum + (n * m1 - n * n) // 2
-                    if alt != margin:
-                        violations.append(
-                            {
-                                "branch": "i-alt",
-                                "case": list(case.partition.parts),
-                                "mu": list(mu.parts),
-                                "margin": margin,
-                                "alternate": alt,
-                            }
-                        )
         for lam in enumerate_partitions(n, max_length=s):
             if lam.parts[0] > m1 - 1:
                 continue
@@ -900,8 +897,7 @@ class TestDominanceMinima:
             assert any("fails_to_dominate" in v for v in prop3_oracle(n).counterexamples), n
 
     def test_no_walk_on_the_verified_ranges(self, monkeypatch):
-        # Every minimum passes, so partitions are listed only for the
-        # rectangles' cross-check: once per even n, the mu of length n/2 + 1.
+        # Every minimum passes, so no partitions are listed at all.
         walks = []
         real_enumerate = dimeq.theorems.enumerate_partitions
 
@@ -914,10 +910,26 @@ class TestDominanceMinima:
             for n in ns:
                 walks.clear()
                 assert verify(n).passed, (name, n)
-                rect = name == "lemma2-reduction" and n % 2 == 0 and n > 2
-                assert walks == ([((n // 2 - 1,), {"max_length": n // 2 + 1})] if rect else []), (
-                    name, n,
+                assert walks == [], (name, n)
+
+    def test_a_non_minimal_beta_fails_i_alt_once(self, monkeypatch):
+        # Swap beta at one m1 <= n - 2 for the hook of that length, which is
+        # not beta and has a larger rep dim: the columns find the true minimum.
+        real_balanced = dimeq.theorems.balanced_partition
+        for n in range(4, 15):
+            for m1 in range(2, n - 1):
+                hook = Partition.from_runs([(n - m1 + 1, 1), (1, m1 - 1)])
+                beta = real_balanced(n, m1)
+                monkeypatch.setattr(
+                    dimeq.theorems, "balanced_partition",
+                    lambda n_, k: hook if (n_, k) == (n, m1) else real_balanced(n_, k),
                 )
+                got = verify_lemma2_reduction(n)
+                assert same_bytes(got, reduction_oracle(n)), (n, m1)
+                assert list(got.counterexamples) == [
+                    {"branch": "i-alt", "m1": m1, "rep_dim": hook.rep_dim(),
+                     "alternate": beta.rep_dim()}
+                ], (n, m1)
 
     def test_balanced_partition_is_the_dominance_minimum(self):
         for n in range(2, 31):

@@ -24,6 +24,9 @@ class Dominance(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+_EMPTY = "a partition needs at least one part"
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers, stored as runs.
 
@@ -34,17 +37,18 @@ class Partition:
     parts is built on demand (and kept when the partition was constructed
     from one).
 
-    The empty partition is permitted only so that componentwise addition has
-    an identity; operations with orbit-theoretic meaning (dimensions,
-    dominance, transpose) require at least one part.  Constructors fail
-    loudly on unsorted or nonpositive input — nothing is ever silently
-    re-sorted.
+    A partition has at least one part, since it labels an orbit of GL_n
+    with n >= 1: the constructors refuse empty input, so no operation
+    checks for it again.  They also fail loudly on unsorted or nonpositive
+    input — nothing is ever silently re-sorted.
     """
 
     __slots__ = ("_runs", "_parts", "_n", "_length")
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __init__(self, parts: Iterable[int]):
         parts = tuple(parts)
+        if not parts:
+            raise InvalidInputError(_EMPTY)
         # Validation and run compression in one pass.  A part equal to the
         # previous one only extends its run; checks beyond the type are
         # needed only where a new run starts.
@@ -77,8 +81,8 @@ class Partition:
     def from_runs(cls, runs: Iterable[tuple[int, int]]) -> "Partition":
         """The partition with m parts equal to v for each (v, m) in runs.
 
-        Values must be positive and strictly decreasing, multiplicities
-        positive.  Costs O(#runs), however many parts that makes.
+        runs must be nonempty, each v and m positive, and the values v
+        strictly decreasing.  Costs O(#runs), however many parts that makes.
         """
         checked: list[tuple[int, int]] = []
         n = length = 0
@@ -99,6 +103,8 @@ class Partition:
             checked.append((v, m))
             n += v * m
             length += m
+        if not checked:
+            raise InvalidInputError(_EMPTY)
         return cls._of_runs(tuple(checked), n, length)
 
     @classmethod
@@ -138,15 +144,6 @@ class Partition:
         """Number of parts."""
         return self._length
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self._runs == other._runs
 
@@ -174,10 +171,6 @@ class Partition:
             raise InvalidInputError(f"partition text must be a JSON list, got {echo(text)}")
         return cls(data)
 
-    def _require_nonempty(self, op: str) -> None:
-        if not self._runs:
-            raise InvalidInputError(f"{op} requires a nonempty partition")
-
     # -- structure -----------------------------------------------------------
 
     def transpose(self) -> "Partition":
@@ -186,7 +179,6 @@ class Partition:
         (transpose)_i = #{j : lam_j >= i}.  An involution.  Run by run: the
         columns in (v_{k+1}, v_k] all have length m_1 + ... + m_k.
         """
-        self._require_nonempty("transpose")
         runs = self._runs
         out = []
         rows = 0
@@ -196,10 +188,6 @@ class Partition:
         out.reverse()
         return Partition._of_runs(tuple(out), self._n, runs[0][0])
 
-    def multiplicities(self) -> dict[int, int]:
-        """Map part value -> multiplicity, in decreasing order of value."""
-        return dict(self._runs)
-
     def rectangle(self) -> tuple[int, int] | None:
         """(p, q) if this is the rectangle with q parts of size p, else None."""
         if len(self._runs) != 1:
@@ -208,7 +196,7 @@ class Partition:
 
     def is_trivial_orbit(self) -> bool:
         """True for (1, 1, ..., 1), the zero orbit (one-dimensional representation)."""
-        return bool(self._runs) and self._runs[0][0] == 1
+        return self._runs[0][0] == 1
 
     # -- dimensions -----------------------------------------------------------
 
@@ -220,7 +208,6 @@ class Partition:
         trivial orbit (1^n).  A run of m parts v after s earlier parts
         contributes v * ((s + m)^2 - s^2) to the sum.
         """
-        self._require_nonempty("orbit_dim")
         n = self._n
         d = n * n
         s = 0
@@ -247,8 +234,6 @@ class Partition:
         those ends: only run ends are checked.  Once either partition runs
         out, its prefix sum is n and stays at or above the other's.
         """
-        self._require_nonempty("compare")
-        other._require_nonempty("compare")
         if self._n != other._n:
             raise InvalidInputError(
                 f"cannot compare partitions of different integers: {echo(self._n)} vs "
@@ -296,18 +281,13 @@ class Partition:
         """Componentwise sum (the shorter partition padded with zeros).
 
         For weakly decreasing inputs the result is weakly decreasing, so
-        this is total on Partition.  The empty partition is the identity.
-        Each stretch between consecutive run ends of either summand is one
-        run of the sum: at every such end one summand's value drops, so the
-        summed values strictly decrease.
+        this is total on Partition.  Each stretch between consecutive run
+        ends of either summand is one run of the sum: at every such end one
+        summand's value drops, so the summed values strictly decrease.
         """
         if not isinstance(other, Partition):
             return NotImplemented
         a, b = self._runs, other._runs
-        if not a:
-            return other
-        if not b:
-            return self
         length = max(self._length, other._length)
         out = []
         pos = i = j = 0
@@ -471,12 +451,11 @@ def epsilon_preimage(lam: Partition) -> Iterator[EpsilonVector]:
 
     The inverse of partition_from_epsilon: each distinct ordering of lam's
     parts, read as consecutive run lengths, puts a zero at the end of every
-    run but the last.  Yields len(lam)! / prod(multiplicity!) patterns, each
+    run but the last.  Yields lam.length! / prod(multiplicity!) patterns, each
     once, in reverse-lexicographic order of the run lengths.
     """
-    lam._require_nonempty("epsilon_preimage")
     n = lam.n
-    counts = lam.multiplicities()
+    counts = dict(lam.runs)
     values = list(counts)  # insertion order: decreasing part values
 
     def orders(left: int) -> Iterator[tuple[int, ...]]:

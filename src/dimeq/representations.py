@@ -83,8 +83,6 @@ class ExplicitOrbit:
     def __post_init__(self) -> None:
         if not isinstance(self.orbit, Partition):
             raise InvalidInputError("ExplicitOrbit needs a Partition")
-        if self.orbit.length == 0:
-            raise InvalidInputError("ExplicitOrbit needs a nonempty partition")
 
     def to_json(self) -> dict:
         return {"kind": "orbit", "parts": list(self.orbit.parts)}
@@ -290,8 +288,6 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
             raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
         need_int(n, None, kind, '"n"')
         rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
-        if n is expected_rank:
-            return rep  # the rank came from context
     elif kind == "speh":
         p = need_int(obj.get("p"), None, kind, '"p"')
         rep = Speh(p, need_int(obj.get("q"), None, kind, '"q"'))

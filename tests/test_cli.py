@@ -115,6 +115,8 @@ class TestPartitionCommands:
         assert rc == 2 and out == "" and err.startswith("error:")
         rc, _, _ = run_cli(capsys, "partition", "dim", "not json")
         assert rc == 2
+        rc, out, err = run_cli(capsys, "partition", "add", "[]", "[3]")
+        assert rc == 2 and out == "" and err == "error: a partition needs at least one part\n"
 
     def test_deeply_nested_partition_is_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "partition", "dim", "[" * TOO_DEEP + "]" * TOO_DEEP)

@@ -333,7 +333,10 @@ class TestErrorMessages:
                 "constituent of rank 3 attached to block of size 2",
             ),
             (lambda: ExplicitOrbit([4]), "ExplicitOrbit needs a Partition"),
-            (lambda: ExplicitOrbit(Partition()), "ExplicitOrbit needs a nonempty partition"),
+            (
+                lambda: rep_from_json({"kind": "orbit", "parts": []}),
+                "a partition needs at least one part",
+            ),
             # wire values of the wrong JSON shape
             (lambda: rep_from_json(5), "representation must be a JSON object, got 5"),
             (

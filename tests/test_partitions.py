@@ -544,6 +544,15 @@ class TestRunLengthStorage:
         assert minimal.runs == ((2, 1), (1, n - 2)) and minimal.rep_dim() == n - 1
         assert (minimal.n, minimal.length) == (n, n - 1)
 
+    def test_no_hidden_reader_builds_the_parts(self):
+        # parts, length and runs are the only readers, so no len(), indexing
+        # or iteration can build a rank-sized tuple behind the caller's back
+        lam = Partition.from_runs([(1, 10**18)])
+        for read in (len, iter, lambda p: p[0], lambda p: p.multiplicities()):
+            with pytest.raises((TypeError, AttributeError)):
+                read(lam)
+        assert lam.length == 10**18 and dict(lam.runs) == {1: 10**18}
+
     @pytest.mark.parametrize(
         "runs",
         [

@@ -6,7 +6,8 @@ limits; README.md lists the commands with examples.
 Exit codes: 0 success / statement holds; 1 counterexamples found, equation
 fails, or --expect-vanish unmet; 2 invalid input; 3 resource limit refused
 or out of memory; 4 internal soundness check failed (a bug in dimeq, not in
-the input).
+the input); 141 stdout closed by its reader (as for a process killed by
+SIGPIPE), with nothing on stderr.
 
 Output is deterministic: same invocation, same bytes.  JSON is the default
 format; csv is available for `equation solve`.
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Callable
 from itertools import chain
@@ -249,23 +251,32 @@ _INT = {"type": int}
 _CEX_CAP = {"type": int, "default": DEFAULT_CEX_CAP}
 _REQUIRED_INT = {"type": int, "required": True}
 _SWITCH = {"action": "store_true"}
+_BROKEN_PIPE = 128 + 13  # a shell's status for a process killed by SIGPIPE
 
 
 class _LazyParser(argparse.ArgumentParser):
-    """A parser whose arguments are added by `fill` when it first parses.
+    """A parser that is constructed, then filled by `fill`, when it first parses.
 
-    argparse parses only the root and the subparsers it dispatches to, so the
-    groups and leaves of other commands stay empty but for the name and help
-    their parent lists: a run pays for one group and one leaf, not all 20."""
+    argparse parses only the root and the subparsers it dispatches to, and
+    lists the others by the name and help their parent registers, so a run
+    builds the root, one group and one leaf, not all 25 parsers.  A parser
+    without `fill` (the root) is built at once."""
 
     def __init__(self, *args, fill: Callable[..., None] | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fill = fill
+        self._unbuilt = (args, kwargs, fill)
+        if fill is None:
+            self._build()
+
+    def _build(self) -> None:
+        if self._unbuilt is not None:
+            args, kwargs, fill = self._unbuilt
+            self._unbuilt = None
+            super().__init__(*args, **kwargs)
+            if fill is not None:
+                fill(self)
 
     def parse_known_args(self, args=None, namespace=None):
-        fill, self._fill = self._fill, None
-        if fill is not None:
-            fill(self)
+        self._build()
         return super().parse_known_args(args, namespace)
 
 
@@ -353,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimeq",
         description="Exact orbit-dimension bookkeeping for global integrals on GL_n.",
     )
-    # every subparser below inherits the root's class, _LazyParser
+    # every subparser below inherits the root's class, _LazyParser: a run
+    # builds this root, then the one group and one leaf it dispatches to
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("partition", help="partition and orbit arithmetic", fill=_partition_leaves)
     sub.add_parser("rep", help="representation descriptors", fill=_rep_leaves)
@@ -371,6 +383,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except BrokenPipeError:  # --help to a closed stdout
+        return _BROKEN_PIPE
     try:
         try:
             return args.func(args)
@@ -379,6 +393,8 @@ def run(argv: list[str] | None = None) -> int:
             if type(exc) is ValueError and "integer string conversion" in str(exc):
                 raise ResourceLimitError(f"result too large to print: {exc}") from None
             raise
+    except BrokenPipeError:  # `dimeq ... | head`: end as a filter SIGPIPE killed
+        return _BROKEN_PIPE
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -394,7 +410,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
-    return run()
+    code = run()
+    try:
+        sys.stdout.flush()  # a buffered write meets a reader that is gone here
+    except BrokenPipeError:
+        code = _BROKEN_PIPE
+    if code == _BROKEN_PIPE:
+        # what stdout still buffers goes nowhere, so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

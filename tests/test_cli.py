@@ -665,6 +665,27 @@ class TestPlumbing:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["target"] == 3
 
+    @pytest.mark.parametrize("argv", ["partition dim [3,3]", "verify all --format text", "--help"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_exit_141_and_quiet(self, argv, unbuffered):
+        # `dimeq ... | head` whose reader is gone before the first write
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dimeq.cli", *argv.split()], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        # argparse 3.11+ drops the OSError of its own unbuffered --help write
+        dropped = argv == "--help" and unbuffered and sys.version_info >= (3, 11)
+        assert (proc.returncode, proc.stderr) == (0 if dropped else 141, b"")
+
 
 @pytest.fixture
 def added_to(monkeypatch):
@@ -680,16 +701,47 @@ def added_to(monkeypatch):
     return containers
 
 
+@pytest.fixture
+def constructed(monkeypatch):
+    """The parsers argparse.ArgumentParser.__init__ set up while the test runs."""
+    parsers = []
+    original = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    return parsers
+
+
 class TestStartup:
-    # A run adds -h to the root, its 5 entries and the chosen group's entries,
-    # plus the chosen leaf's own arguments: 18 for `equation solve`, 14 for
-    # `partition dim`. Building every group and leaf takes 109.
+    # A run builds the root, and the group and leaf it dispatches to: it adds
+    # -h to each of them, and the leaf's own arguments. Building every group
+    # and leaf takes 25 parsers and 109 arguments.
     @pytest.mark.parametrize(
-        "argv", [("equation", "solve", "--n", "4", "--l", "2"), ("partition", "dim", "[3,3]")]
+        "argv, parsers",
+        [
+            (("vanish", "SPEC"), 2),
+            (("equation", "solve", "--n", "4", "--l", "2"), 3),
+            (("partition", "dim", "[3,3]"), 3),
+            (("verify", "prop4", "--n", "6", "--l", "3"), 3),
+        ],
     )
-    def test_a_run_adds_only_the_dispatched_arguments(self, capsys, added_to, argv):
+    def test_a_run_builds_only_the_dispatched_parsers(
+        self, capsys, tmp_path, constructed, argv, parsers
+    ):
+        spec = write_spec(tmp_path, "spec.json", SPEH_PAIR)
+        assert run_cli(capsys, *[spec if w == "SPEC" else w for w in argv])[0] == 0
+        assert len(constructed) == parsers
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [(("equation", "solve", "--n", "4", "--l", "2"), 11), (("partition", "dim", "[3,3]"), 6)],
+    )
+    def test_a_run_adds_only_the_dispatched_arguments(self, capsys, added_to, argv, added):
         assert run_cli(capsys, *argv)[0] == 0
-        assert len(added_to) <= 25
+        assert len(added_to) == added
 
     def test_each_run_builds_its_own_parser(self, capsys, added_to):
         argv = ("equation", "solve", "--n", "4", "--l", "2")
@@ -831,15 +883,42 @@ RUN_SHA256 = {
 }
 
 
+@pytest.fixture
+def files(tmp_path):
+    """The spec and descriptor files that SPEC and REP name in RUN_SHA256."""
+    return {
+        "SPEC": write_spec(tmp_path, "spec.json", MINIMAL_TRIPLE_6),
+        "REP": write_spec(tmp_path, "rep.json", {"kind": "speh", "p": 2, "q": 3}),
+    }
+
+
 @argparse_310_to_312
 class TestRunBytes:
     @pytest.mark.parametrize("argv", list(RUN_SHA256))
-    def test_error_path_and_run_bytes(self, capsys, monkeypatch, tmp_path, argv):
+    def test_error_path_and_run_bytes(self, capsys, monkeypatch, files, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        files = {
-            "SPEC": write_spec(tmp_path, "spec.json", MINIMAL_TRIPLE_6),
-            "REP": write_spec(tmp_path, "rep.json", {"kind": "speh", "p": 2, "q": 3}),
-        }
         rc, out, err = run_cli(capsys, *[files.get(w, w) for w in argv.split()])
         dumped = json.dumps([rc, out, err]).encode()
         assert hashlib.sha256(dumped).hexdigest() == RUN_SHA256[argv]
+
+
+class TestLazyTreeBytes:
+    # Unlike the digests above, this holds on every Python: building only the
+    # dispatched parsers must give the bytes of building all of them at once.
+    @pytest.mark.parametrize("argv", [*USAGE_SHA256, *RUN_SHA256])
+    def test_lazy_and_eager_trees_give_the_same_bytes(
+        self, capsys, monkeypatch, files, constructed, argv
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        words = [files.get(w, w) for w in argv.split()]
+        lazy = run_cli(capsys, *words)
+        lazy_init = cli._LazyParser.__init__
+
+        def eager_init(self, *args, **kwargs):
+            lazy_init(self, *args, **kwargs)
+            self._build()
+
+        monkeypatch.setattr(cli._LazyParser, "__init__", eager_init)
+        constructed.clear()
+        assert run_cli(capsys, *words) == lazy
+        assert len(constructed) == 25

@@ -287,7 +287,8 @@ def _leaf(
     positionals: tuple[str, ...] = (),
     flags: dict[str, dict] | None = None,
     formats: tuple[str, ...] = ("json", "text"),
-    help: str | None = None,
+    *,
+    help: str,
     **defaults: object,
 ) -> None:
     """One runnable subcommand: positionals, its own flags, --format and --out."""
@@ -301,8 +302,7 @@ def _leaf(
         sp.add_argument("--out", metavar="FILE", default=None)
         sp.set_defaults(func=func, **defaults)
 
-    # a help entry, even help=None, would list the command in its group's --help
-    sub.add_parser(name, fill=fill, **({} if help is None else {"help": help}))
+    sub.add_parser(name, fill=fill, help=help)
 
 
 def _partition_leaves(g: argparse.ArgumentParser) -> None:

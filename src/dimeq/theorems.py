@@ -197,7 +197,11 @@ def lemma2_I(lam: Partition, mu: Partition) -> int:
         )
     if mu.is_trivial_orbit():
         raise InvalidInputError("lemma2_I requires a nontrivial second partition")
-    weighted = sum(i * p for i, p in enumerate(lam.parts, start=1))
+    # sum_i i*lam_i by runs: m parts v after s earlier ones add v*m*(2s+m+1)/2
+    weighted = s = 0
+    for v, m in lam.runs:
+        weighted += v * m * (2 * s + m + 1) // 2
+        s += m
     return lam.n + mu.rep_dim() - weighted
 
 
@@ -258,6 +262,8 @@ class Lemma2Case:
     n - (2*m1-2) = p2 >= 0; for a >= 3, n lies in the window left < n <= right,
     with left = (a*m1-(a+1))/(a-1) and right = ((a-1)*m1-a)/(a-2), since
     n - left = (p2+1)/(a-1) > 0 and right - n = (p1-1)/(a-2) >= 0.
+    Conversely, with s = n - m1 + 1 the window reads (a-1)*s < n <= a*s, so
+    n lies in the a-window exactly when a = ceil(n/s).
     """
 
     a: int
@@ -274,24 +280,20 @@ class Lemma2Case:
 
 
 def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
-    """The near-rectangular partitions the main inequality reduces to.
+    """The near-rectangular partitions the main inequality reduces to: one,
+    balanced_partition(n, s), where s = n - m1 + 1 is the length bound.
 
-    For each a in [2, m1], the candidate has p2 = a*s - n parts of a-1 and
-    p1 = s - p2 parts of a, where s = n - m1 + 1 is the length bound.  A
-    candidate is kept when both counts are admissible (p1 >= 1, p2 >= 0);
-    the result can be empty.  An admissible candidate always lies in its
-    a-window (see Lemma2Case).
+    The candidate for a has p2 = a*s - n parts of a-1 and p1 = s - p2 parts
+    of a.  Both counts are admissible (p1 >= 1, p2 >= 0) exactly when
+    (a-1)*s < n <= a*s, that is for a = ceil(n/s) alone.  That a lies in
+    [2, m1]: a >= 2 as s < n, and a <= m1 as m1*s - n = (s-1)(n-s) >= 0.
     """
     need_int(n, 2, "lemma2_reduction_cases")
     need_int(m1, 2, "lemma2_reduction_cases", "m1", n)
     s = n - m1 + 1
-    cases: list[Lemma2Case] = []
-    for a in range(2, m1 + 1):
-        p2 = a * s - n
-        p1 = s - p2
-        if p1 >= 1 and p2 >= 0:
-            cases.append(Lemma2Case(a=a, p1=p1, p2=p2))
-    return cases
+    a = -(-n // s)
+    p2 = a * s - n
+    return [Lemma2Case(a=a, p1=s - p2, p2=p2)]
 
 
 def _ratio(num: int, den: int) -> str:
@@ -309,16 +311,18 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
           balanced_partition(n, m1), is recomputed by columns (i-alt), apart
           from rep_dim's row formula, and the two must agree;
     (ii)  every candidate lam (head at most m1-1, length at most n-m1+1)
-          dominates some case partition, so the cases really are the floor
-          of the search space;
-    (iii) for a >= 3, whenever n lies in the a-window, n is at least
+          dominates the case, so it really is the floor of the search space;
+    (iii) for a >= 3, when n lies in the a-window, n is at least
           (3a-2)(m1-1)/(3a-4) — the margin the window argument consumes.
 
-    (i) and (ii) are aggregated: each checks the dominance minimum of its
-    class of mu or lam, walks the class only when that fails, and counts it
-    from _partition_counts.  The i-alt minimum comes from one row of a
-    max-plus knapsack over column lengths, grown with m1, so the whole check
-    takes O(n^2) steps.
+    Each m1 has one case, balanced_partition(n, s) with s = n - m1 + 1, and
+    n lies in the window of a = ceil(n/s) alone (see Lemma2Case), so (iii)
+    checks that a only, and (ii) only counts its candidates: as partitions
+    of at most s parts they all dominate the case.  (i) is aggregated: it
+    checks the dominance minimum of its class of mu, walks the class only
+    when that fails, and counts it from _partition_counts.  The i-alt
+    minimum comes from one row of a max-plus knapsack over column lengths,
+    grown with m1, so the whole check takes O(n^2) steps.
 
     The bare-rational comparison "window-left >= (3a-2)(m1-1)/(3a-4)" fails
     at four small (a, m1) corners even though every integer n in those
@@ -368,32 +372,16 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
                             }
                         )
 
-        # (ii) the cases are dominated by every candidate lam.  The candidates
-        # fill an s x (m1-1) box: the partitions into at most s parts, less
-        # those of largest part >= m1 (all within s parts), counted transposed.
-        # All dominate balanced_partition(n, s), itself one when box > 0.
-        box = at_most[s] - (at_most[n] - at_most[m1 - 1])
-        space += box
-        low = balanced_partition(n, s)
-        if box and not any(low.dominates(c.partition) for c in cases):
-            for lam in enumerate_partitions(n, max_length=s):
-                if lam.parts[0] > m1 - 1:
-                    continue
-                if not any(lam.dominates(c.partition) for c in cases):
-                    violations.append(
-                        {
-                            "branch": "ii",
-                            "m1": m1,
-                            "lambda": list(lam.parts),
-                            "cases": [list(c.partition.parts) for c in cases],
-                        }
-                    )
+        # (ii) counted: the candidates fill an s x (m1-1) box, the partitions
+        # into at most s parts, less those of largest part >= m1 (all within
+        # s parts), counted transposed.
+        space += at_most[s] - (at_most[n] - at_most[m1 - 1])
 
-        # (iii) window margin for a >= 3; fractions (denominators > 0) cross-multiplied
-        for a in range(3, m1 + 1):
+        # (iii) window margin at the one a whose window holds n, when a >= 3;
+        # fractions (denominators > 0) cross-multiplied
+        a = -(-n // s)
+        if a >= 3:
             left, left_den = a * m1 - (a + 1), a - 1
-            if not (left < n * left_den and n * (a - 2) <= (a - 1) * m1 - a):
-                continue
             space += 1
             needed, needed_den = (3 * a - 2) * (m1 - 1), 3 * a - 4
             if n * needed_den < needed:
@@ -683,7 +671,7 @@ def verify_epsilon_orbit_claim(
     if p * q != n:
         raise InvalidInputError(f"need n == p*q, got n={echo(n)}, p={echo(p)}, q={echo(q)}")
     need_int(cex_cap, 0, "verify_epsilon_orbit_claim", "cex_cap")
-    target = Partition((p,) * q)
+    target = Partition.from_runs([(p, q)])
     need = n - q + 1
     space = sum(math.comb(n - 1, zeros) for zeros in range(q - 1))
     violations: list[dict] = []

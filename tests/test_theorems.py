@@ -96,6 +96,20 @@ class TestLemma2Margin:
                     got = 2 * lemma2_I(lam, mu)
                     assert got == lam.orbit_dim() + mu.orbit_dim() - base
 
+    def test_huge_rank_margin_is_summed_by_runs(self):
+        # n = 5*10^6: I = n + n^2/4 - (4.5k^2 + 2.5k) with k = 10^6
+        k = 10**6
+        lam = Partition.from_runs([(3, k), (2, k)])
+        mu = Partition.from_runs([(2, 5 * k // 2)])
+        tracemalloc.start()
+        try:
+            got = lemma2_I(lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 1_750_002_500_000
+        assert peak < 1_000_000
+
     def test_rejects_mismatched_n(self):
         with pytest.raises(InvalidInputError):
             lemma2_I(Partition((3,)), Partition((2, 2)))
@@ -142,6 +156,11 @@ class TestVerifyLemma2:
             verify_lemma2(1)
 
 
+def _window(a, m1):
+    """The a-window (left, right] of n that Lemma2Case states, for a >= 3."""
+    return Fraction(a * m1 - a - 1, a - 1), Fraction((a - 1) * m1 - a, a - 2)
+
+
 class TestReductionCases:
     @pytest.mark.parametrize(
         "n,m1,expected",
@@ -172,16 +191,40 @@ class TestReductionCases:
                     p1 = s - p2
                     if p1 < 1 or p2 < 0:
                         continue
-                    if a >= 3 and not (
-                        Fraction(a * m1 - a - 1, a - 1) < n <= Fraction((a - 1) * m1 - a, a - 2)
-                    ):
-                        continue
+                    if a >= 3:
+                        left, right = _window(a, m1)
+                        if not left < n <= right:
+                            continue
                     want.append((a, p1, p2))
                 cases = lemma2_reduction_cases(n, m1)
                 assert [(c.a, c.p1, c.p2) for c in cases] == want, (n, m1)
                 for c in cases:
                     assert 2 <= c.a <= m1, (n, m1, c)
                     assert c.a != 2 or n >= 2 * m1 - 2, (n, m1, c)
+
+    def test_the_one_case_is_beta(self):
+        for n in range(2, 301):
+            for m1 in range(2, n + 1):
+                (case,) = lemma2_reduction_cases(n, m1)
+                assert case.partition == balanced_partition(n, n - m1 + 1), (n, m1)
+
+    def test_n_lies_in_the_window_of_ceil_n_over_s_alone(self):
+        # the integers of each a-window, against a = ceil(n/s), s = n - m1 + 1
+        top = 400
+        for m1 in range(3, top + 1):
+            held = set()
+            for a in range(3, m1 + 1):
+                left, right = _window(a, m1)
+                lo, hi = max(math.floor(left) + 1, m1), min(math.floor(right), top)
+                held.update((n, a) for n in range(lo, hi + 1))
+            want = {(n, -(-n // (n - m1 + 1))) for n in range(m1, top + 1)}
+            assert held == {(n, a) for n, a in want if a >= 3}, m1
+
+    def test_huge_m1_takes_no_scan(self):
+        # a scan over a in [2, m1] would not finish
+        n = 10**18
+        (case,) = lemma2_reduction_cases(n, n - 5)
+        assert (case.a, case.p1, case.p2) == (n // 6 + 1, 4, 2)
 
     def test_partition_is_derived_from_the_shape(self):
         c = Lemma2Case(a=3, p1=1, p2=1)
@@ -847,12 +890,11 @@ class TestDominanceMinima:
                 assert same_bytes(got, want), (n, cap)
             assert not want.passed, n
 
-    @pytest.mark.parametrize("step,branch", [(-1, "i"), (1, "ii")])
+    @pytest.mark.parametrize("step,branch", [(-1, "i")])
     def test_cases_of_a_neighbouring_m1_are_walked_like_the_oracle(
         self, monkeypatch, step, branch
     ):
-        # The cases of m1 - 1 fail branch (i) at m1, and those of m1 + 1 leave
-        # candidates of branch (ii) at m1 that dominate none of them.
+        # The cases of m1 - 1 fail branch (i) at m1.
         real_cases = dimeq.theorems.lemma2_reduction_cases
         monkeypatch.setattr(
             dimeq.theorems, "lemma2_reduction_cases",

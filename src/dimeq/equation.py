@@ -8,10 +8,9 @@ n^2 - 1, the dimension budget before reduction to the mirabolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
-from .errors import InternalError, InvalidInputError, ResourceLimitError, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, ResourceLimitError, echo, need_int
 from .partitions import Partition
 from .representations import IntegralSpec, dim_rep, minimal_eisenstein
 
@@ -19,14 +18,12 @@ DEFAULT_MAX_N = 12
 DEFAULT_MAX_L = 4
 
 
-@dataclass(frozen=True)
-class EquationReport:
+class EquationReport(Record, fields=("lhs", "rhs", "holds", "slack")):
     """Outcome of a dimension-equation check.  slack = lhs - rhs."""
 
-    lhs: int
-    rhs: int
-    holds: bool
-    slack: int
+    def __init__(self, lhs: int, rhs: int, holds: bool, slack: int) -> None:
+        d = self.__dict__
+        d["lhs"], d["rhs"], d["holds"], d["slack"] = lhs, rhs, holds, slack
 
     def to_json(self) -> dict:
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds, "slack": self.slack}

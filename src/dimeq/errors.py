@@ -1,6 +1,7 @@
 """Exception types and the two rules their messages share: echo quotes every
 value a message shows, abbreviated and safe on ints too long to print, and
-need_int is the one check that an argument is an int within its bounds."""
+need_int is the one check that an argument is an int within its bounds.
+Record is the immutable base of the package's value types."""
 
 import reprlib
 
@@ -66,3 +67,40 @@ def need_int(
         bounds = f">= {echo(low)}" if high is None else f"in [{echo(low)}, {echo(high)}]"
         raise InvalidInputError(f"{who} needs {name} {bounds}, got {echo(value)}")
     return value
+
+
+class Record:
+    """An immutable value: equal to a record of its own class whose fields are
+    equal, hashed and shown by those fields, and never changed once built.
+
+    A subclass names its fields, in that order, in its class statement:
+    `class Speh(Record, fields=("p", "q"))`.  Its __init__ checks its
+    arguments and stores them, and any attribute derived from them, straight
+    into self.__dict__, where copy and pickle find them too.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
+        cls._fields = fields
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

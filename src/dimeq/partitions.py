@@ -10,9 +10,8 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .errors import InternalError, InvalidInputError, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, echo, need_int
 
 
 class Dominance(enum.Enum):
@@ -393,26 +392,23 @@ def balanced_partition(n: int, k: int) -> Partition:
     return Partition.from_runs([(q + 1, r), (q, k - r)] if r else [(q, k)])
 
 
-@dataclass(frozen=True, repr=False)
-class EpsilonVector:
+class EpsilonVector(Record, fields=("n", "bits")):
     """A 0/1 pattern on the n-1 superdiagonal positions of a degenerate character.
 
     bits[i] == 1 means position i+1 (1-indexed) carries a nonzero entry.
     n must be an int and each bit the int 0 or 1, not a bool or a float.
     """
 
-    n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bits = tuple(self.bits)
-        if len(bits) != need_int(self.n, 2, "EpsilonVector") - 1:
+    def __init__(self, n: int, bits: Iterable[int]) -> None:
+        bits = tuple(bits)
+        if len(bits) != need_int(n, 2, "EpsilonVector") - 1:
             raise InvalidInputError(
-                f"EpsilonVector needs n - 1 bits, got n={echo(self.n)} and {len(bits)} bits"
+                f"EpsilonVector needs n - 1 bits, got n={echo(n)} and {len(bits)} bits"
             )
         if any(type(b) is not int or b not in (0, 1) for b in bits):
             raise InvalidInputError(f"epsilon bits must be 0 or 1, got {echo(list(bits))}")
-        object.__setattr__(self, "bits", bits)
+        d = self.__dict__
+        d["n"], d["bits"] = n, bits
 
     @property
     def zero_positions(self) -> tuple[int, ...]:

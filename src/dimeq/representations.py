@@ -10,10 +10,9 @@ constituents' orbits, and the dimension is computed along both routes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from collections.abc import Iterable
 
-from .errors import InternalError, InvalidInputError, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, echo, need_int
 from .partitions import Partition
 
 
@@ -22,22 +21,18 @@ def _leaf_orbit(value: int, count: int) -> Partition:
     return Partition._of_runs(((value, count),), value * count, count)
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(Record, fields=("n",)):
     """A representation with full Whittaker support on GL_n; orbit (n)."""
 
-    n: int
-    orbit: Partition = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orbit", _leaf_orbit(need_int(self.n, 1, "Generic"), 1))
+    def __init__(self, n: int) -> None:
+        d = self.__dict__
+        d["n"], d["orbit"] = n, _leaf_orbit(need_int(n, 1, "Generic"), 1)
 
     def to_json(self) -> dict:
         return {"kind": "generic", "n": self.n}
 
 
-@dataclass(frozen=True)
-class Speh:
+class Speh(Record, fields=("p", "q")):
     """The square-integrable residual block on GL_{p*q}; orbit (p^q).
 
     q = 1 reduces to the generic orbit (p); p = 1 is the one-dimensional
@@ -45,51 +40,42 @@ class Speh:
     level of an integral specification.
     """
 
-    p: int
-    q: int
-    orbit: Partition = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        need_int(self.p, 1, "Speh", "p")
-        object.__setattr__(self, "orbit", _leaf_orbit(self.p, need_int(self.q, 1, "Speh", "q")))
+    def __init__(self, p: int, q: int) -> None:
+        need_int(p, 1, "Speh", "p")
+        d = self.__dict__
+        d["p"], d["q"], d["orbit"] = p, q, _leaf_orbit(p, need_int(q, 1, "Speh", "q"))
 
     def to_json(self) -> dict:
         return {"kind": "speh", "p": self.p, "q": self.q}
 
 
-@dataclass(frozen=True)
-class TrivialConstituent:
+class TrivialConstituent(Record, fields=("n",)):
     """The one-dimensional representation of GL_n; orbit (1^n).
 
     Only meaningful as an Eisenstein constituent; rejected at top level.
     """
 
-    n: int
-    orbit: Partition = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orbit", _leaf_orbit(1, need_int(self.n, 1, "TrivialConstituent")))
+    def __init__(self, n: int) -> None:
+        d = self.__dict__
+        d["n"], d["orbit"] = n, _leaf_orbit(1, need_int(n, 1, "TrivialConstituent"))
 
     def to_json(self) -> dict:
         return {"kind": "trivial", "n": self.n}
 
 
-@dataclass(frozen=True)
-class ExplicitOrbit:
+class ExplicitOrbit(Record, fields=("orbit",)):
     """Escape hatch: a representation known only through its attached orbit."""
 
-    orbit: Partition
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.orbit, Partition):
+    def __init__(self, orbit: Partition) -> None:
+        if not isinstance(orbit, Partition):
             raise InvalidInputError("ExplicitOrbit needs a Partition")
+        self.__dict__["orbit"] = orbit
 
     def to_json(self) -> dict:
         return {"kind": "orbit", "parts": list(self.orbit.parts)}
 
 
-@dataclass(frozen=True)
-class Eisenstein:
+class Eisenstein(Record, fields=("blocks", "constituents")):
     """Representation induced from the parabolic with the given block sizes.
 
     blocks must be weakly decreasing positive integers, at least two of
@@ -99,16 +85,11 @@ class Eisenstein:
     closure).
     """
 
-    blocks: tuple[int, ...]
-    constituents: tuple["RepDescriptor", ...]
-    orbit: Partition = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        blocks, constituents = self.blocks, self.constituents
+    def __init__(self, blocks: Iterable[int], constituents: Iterable[RepDescriptor]) -> None:
         if blocks.__class__ is not tuple:
-            object.__setattr__(self, "blocks", blocks := tuple(blocks))
+            blocks = tuple(blocks)
         if constituents.__class__ is not tuple:
-            object.__setattr__(self, "constituents", constituents := tuple(constituents))
+            constituents = tuple(constituents)
         if len(blocks) < 2:
             raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
         # one walk: a block that is not an int or below 1 is reported before any increase
@@ -131,7 +112,8 @@ class Eisenstein:
                     f"constituent of rank {echo(orbit.n)} attached to block of size {echo(b)}"
                 )
             total = orbit if total is None else total + orbit
-        object.__setattr__(self, "orbit", total)
+        d = self.__dict__
+        d["blocks"], d["constituents"], d["orbit"] = blocks, constituents, total
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +123,7 @@ class Eisenstein:
         }
 
 
-RepDescriptor = Union[Generic, Speh, TrivialConstituent, ExplicitOrbit, Eisenstein]
+RepDescriptor = Generic | Speh | TrivialConstituent | ExplicitOrbit | Eisenstein
 
 
 def attached_orbit(rep: RepDescriptor) -> Partition:
@@ -216,8 +198,7 @@ def minimal_eisenstein(n: int) -> Eisenstein:
     )
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
+class IntegralSpec(Record, fields=("n", "representations")):
     """A global integral's data: the common rank n and the representations.
 
     Every representation must have rank n, and none may be one-dimensional
@@ -225,25 +206,24 @@ class IntegralSpec:
     books dimensions for.
     """
 
-    n: int
-    representations: tuple[RepDescriptor, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "representations", tuple(self.representations))
-        need_int(self.n, 1, "IntegralSpec")
-        if not self.representations:
+    def __init__(self, n: int, representations: Iterable[RepDescriptor] = ()) -> None:
+        representations = tuple(representations)
+        need_int(n, 1, "IntegralSpec")
+        if not representations:
             raise InvalidInputError("IntegralSpec needs at least one representation")
-        for i, rep in enumerate(self.representations):
+        for i, rep in enumerate(representations):
             orbit = attached_orbit(rep)
-            if orbit.n != self.n:
+            if orbit.n != n:
                 raise InvalidInputError(
-                    f"representation {i} has rank {echo(orbit.n)}, expected {echo(self.n)}"
+                    f"representation {i} has rank {echo(orbit.n)}, expected {echo(n)}"
                 )
             if orbit.is_trivial_orbit():
                 raise InvalidInputError(
-                    f"representation {i} is one-dimensional (orbit (1^{echo(self.n)})); "
+                    f"representation {i} is one-dimensional (orbit (1^{echo(n)})); "
                     "one-dimensional representations are excluded at top level"
                 )
+        d = self.__dict__
+        d["n"], d["representations"] = n, representations
 
     @property
     def l(self) -> int:

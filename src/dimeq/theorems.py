@@ -19,12 +19,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from collections import namedtuple
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InternalError, InvalidInputError, ResourceLimitError, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, ResourceLimitError, echo, need_int
 from .partitions import (
     Dominance,
     EpsilonVector,
@@ -47,19 +45,22 @@ from .representations import (
 DEFAULT_CEX_CAP = 100
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    Record, fields=("statement", "parameters", "space_size", "passed", "counterexamples")
+):
     """What a verifier swept and what it found.
 
     counterexamples is empty exactly when passed; when the cap truncated the
     list, parameters["counterexamples_total"] holds the full count.
     """
 
-    statement: str
-    parameters: dict
-    space_size: int
-    passed: bool
-    counterexamples: tuple[dict, ...]
+    def __init__(
+        self, statement: str, parameters: dict, space_size: int, passed: bool,
+        counterexamples: tuple[dict, ...],
+    ) -> None:
+        d = self.__dict__
+        d["statement"], d["parameters"], d["space_size"] = statement, parameters, space_size
+        d["passed"], d["counterexamples"] = passed, counterexamples
 
     def to_json(self) -> dict:
         return {
@@ -250,8 +251,7 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
 # -- reduction of the main inequality to near-rectangular cases ----------------
 
 
-@dataclass(frozen=True)
-class Lemma2Case:
+class Lemma2Case(Record, fields=("a", "p1", "p2", "partition")):
     """One near-rectangular case partition (a^p1, (a-1)^p2) in the reduction.
 
     a, p1 and p2 are ints (not bools) with a >= 2, p1 >= 1, p2 >= 0, each
@@ -266,17 +266,13 @@ class Lemma2Case:
     n lies in the a-window exactly when a = ceil(n/s).
     """
 
-    a: int
-    p1: int
-    p2: int
-    partition: Partition = field(init=False)
-
-    def __post_init__(self) -> None:
-        need_int(self.a, 2, "Lemma2Case", "a")
-        need_int(self.p1, 1, "Lemma2Case", "p1")
-        need_int(self.p2, 0, "Lemma2Case", "p2")
-        runs = [(v, m) for v, m in ((self.a, self.p1), (self.a - 1, self.p2)) if m]
-        object.__setattr__(self, "partition", Partition.from_runs(runs))
+    def __init__(self, a: int, p1: int, p2: int) -> None:
+        need_int(a, 2, "Lemma2Case", "a")
+        need_int(p1, 1, "Lemma2Case", "p1")
+        need_int(p2, 0, "Lemma2Case", "p2")
+        runs = [(v, m) for v, m in ((a, p1), (a - 1, p2)) if m]
+        d = self.__dict__
+        d["a"], d["p1"], d["p2"], d["partition"] = a, p1, p2, Partition.from_runs(runs)
 
 
 def lemma2_reduction_cases(n: int, m1: int) -> list[Lemma2Case]:
@@ -705,23 +701,18 @@ def verify_epsilon_orbit_claim(
 # -- the verifier registry ------------------------------------------------------
 
 
-class Verifier(NamedTuple):
-    """How `dimeq verify` calls one verify_* function, and what `verify all`
-    sweeps with it.
+Verifier = namedtuple(
+    "Verifier", "func params n_range help cases modes", defaults=(lambda n: ((n,),), ())
+)
+Verifier.__doc__ = """How `dimeq verify` calls one verify_* function (func), and what
+`verify all` sweeps with it.
 
-    params are its integer arguments in call order, one --flag each; help is
-    the line `dimeq verify --help` shows for it; modes, when given, are the
-    choices of its mode argument, the first the default.  `verify all` calls
-    it, in the default mode, on every argument tuple of cases(n) for each n in
-    the inclusive n_range.
-    """
-
-    func: Callable[..., VerificationReport]
-    params: tuple[str, ...]
-    n_range: tuple[int, int]
-    help: str
-    cases: Callable[[int], Iterable[tuple[int, ...]]] = lambda n: ((n,),)
-    modes: tuple[str, ...] = ()
+params are its integer arguments in call order, one --flag each; help is
+the line `dimeq verify --help` shows for it; modes, when given, are the
+choices of its mode argument, the first the default.  `verify all` calls
+it, in the default mode, on every argument tuple of cases(n) for each n in
+the inclusive n_range; cases defaults to the one tuple (n,).
+"""
 
 
 # Keyed by the `dimeq verify` command.  Table order is the order of the
@@ -774,37 +765,37 @@ def verification_sweep(
 # -- the verdict engine ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vanishes:
+class Vanishes(Record, fields=("by", "witness")):
     """The integral vanishes; `by` names the statement that forces it."""
 
-    by: str
-    witness: dict
+    def __init__(self, by: str, witness: dict) -> None:
+        d = self.__dict__
+        d["by"], d["witness"] = by, witness
 
 
-@dataclass(frozen=True)
-class EquationFails:
+class EquationFails(Record, fields=("by", "equation_report")):
     """The dimension equation cannot hold for this shape of data."""
 
-    by: str
-    equation_report: EquationReport
+    def __init__(self, by: str, equation_report: EquationReport) -> None:
+        d = self.__dict__
+        d["by"], d["equation_report"] = by, equation_report
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(Record, fields=("reason",)):
     """The equation fails numerically and no covered pattern explains it."""
 
-    reason: str
+    def __init__(self, reason: str) -> None:
+        self.__dict__["reason"] = reason
 
 
-@dataclass(frozen=True)
-class NotConcluded:
+class NotConcluded(Record, fields=("reason",)):
     """The equation holds but no verified statement decides vanishing."""
 
-    reason: str
+    def __init__(self, reason: str) -> None:
+        self.__dict__["reason"] = reason
 
 
-Verdict = Union[Vanishes, EquationFails, NotApplicable, NotConcluded]
+Verdict = Vanishes | EquationFails | NotApplicable | NotConcluded
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -899,24 +890,27 @@ def vanishing_verdict(spec: IntegralSpec) -> Verdict:
 
     # l >= 3: Corollary 1, then Proposition 5.
     tops = [top_trivial_block(r) for r in reps]
-    if None in tops:
-        reason = (
-            "cor1: not every representation is induced with a one-dimensional "
-            "leading constituent"
-        )
-    else:
+    if None not in tops:
+        # Representation i leads with a one-dimensional constituent on a block
+        # m_i, and its blocks b_j (at least two, weakly decreasing) are at
+        # most m_i, so its dimension is at least sum_{j<k} b_j b_k =
+        # (n^2 - sum_j b_j^2)/2 >= n(n - m_i)/2.  The equation then gives
+        # sum_i (n - m_i) <= n - 1.  Equality needs every b_j = m_i, so
+        # m_i <= n/2 and, as l >= 3, sum_i (n - m_i) >= 3n/2 > n - 1.  So
+        # sum_i m_i >= n(l-1) + 2: Corollary 1 always holds here.
         total, threshold = sum(tops), n * (l - 1) + 2
-        if check_corollary1(n, l, tops):
-            return Vanishes(
-                by="cor1",
-                witness={
-                    "top_trivial_blocks": tops,
-                    "block_sum": total,
-                    "required": threshold,
-                    "equation_report": report.to_json(),
-                },
-            )
-        reason = f"cor1: leading block sum {total} < {threshold}"
+        if not check_corollary1(n, l, tops):
+            raise InternalError(f"the equation holds but leading blocks {echo(tops)} fail cor1")
+        return Vanishes(
+            by="cor1",
+            witness={
+                "top_trivial_blocks": tops,
+                "block_sum": total,
+                "required": threshold,
+                "equation_report": report.to_json(),
+            },
+        )
+    reason = "cor1: not every representation is induced with a one-dimensional leading constituent"
 
     # prop5: a Speh-type representation never leads with a trivial block
     # above n/2, so its shape, not its position, marks it as the rectangle.

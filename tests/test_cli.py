@@ -763,6 +763,21 @@ class TestStartup:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_startup_leaves_out_the_class_builders(self):
+        # dataclasses and typing (and inspect, ast, dis, tokenize, which they
+        # pull in) are the bulk of a bare interpreter's import of dimeq.cli;
+        # -S keeps site from loading any of them first
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import dimeq.cli; "
+            f"dimeq.cli.build_parser(); print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
 
 # sha256 of json.dumps([exit code, stdout, stderr]) for `dimeq ARGV` at
 # COLUMNS=80: --help of the root, of each group and of each of the 20 leaves,

@@ -1,19 +1,29 @@
 """Representation descriptors, attached orbits, and the two dimension routes."""
 
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
 
 from dimeq import (
     Eisenstein,
+    EpsilonVector,
+    EquationFails,
+    EquationReport,
     ExplicitOrbit,
     Generic,
     IntegralSpec,
     InvalidInputError,
+    Lemma2Case,
+    NotApplicable,
+    NotConcluded,
     Partition,
     Speh,
     TrivialConstituent,
+    Vanishes,
+    VerificationReport,
     attached_orbit,
     dim_rep,
     enumerate_partitions,
@@ -492,3 +502,124 @@ class TestCensusGrammar:
                     assert [_shape(r.orbit) for r in back.representations] == [
                         _shape(r.orbit) for r in spec.representations
                     ]
+
+
+_REPORT = EquationReport(lhs=12, rhs=6, holds=False, slack=6)
+
+# Every record type of the package: its keyword arguments, the fields its
+# equality, hash and repr read (in order), and its pinned repr.
+RECORDS = [
+    (EpsilonVector, dict(n=4, bits=(1, 0, 1)), (4, (1, 0, 1)), "EpsilonVector(n=4, bits='101')"),
+    (Generic, dict(n=3), (3,), "Generic(n=3)"),
+    (Speh, dict(p=2, q=3), (2, 3), "Speh(p=2, q=3)"),
+    (TrivialConstituent, dict(n=2), (2,), "TrivialConstituent(n=2)"),
+    (
+        ExplicitOrbit,
+        dict(orbit=Partition([3, 1])),
+        (Partition([3, 1]),),
+        "ExplicitOrbit(orbit=Partition([3, 1]))",
+    ),
+    (
+        Eisenstein,
+        dict(blocks=(2, 1), constituents=(Generic(2), T(1))),
+        ((2, 1), (Generic(2), T(1))),
+        "Eisenstein(blocks=(2, 1), constituents=(Generic(n=2), TrivialConstituent(n=1)))",
+    ),
+    (
+        IntegralSpec,
+        dict(n=4, representations=(Generic(4), Speh(2, 2))),
+        (4, (Generic(4), Speh(2, 2))),
+        "IntegralSpec(n=4, representations=(Generic(n=4), Speh(p=2, q=2)))",
+    ),
+    (
+        EquationReport,
+        dict(lhs=12, rhs=6, holds=False, slack=6),
+        (12, 6, False, 6),
+        "EquationReport(lhs=12, rhs=6, holds=False, slack=6)",
+    ),
+    (
+        VerificationReport,
+        dict(statement="lemma1", parameters={"n": 4}, space_size=2, passed=True,
+             counterexamples=()),
+        ("lemma1", {"n": 4}, 2, True, ()),
+        "VerificationReport(statement='lemma1', parameters={'n': 4}, space_size=2, "
+        "passed=True, counterexamples=())",
+    ),
+    (
+        Lemma2Case,
+        dict(a=3, p1=2, p2=1),
+        (3, 2, 1, Partition([3, 3, 2])),
+        "Lemma2Case(a=3, p1=2, p2=1, partition=Partition([3, 3, 2]))",
+    ),
+    (
+        Vanishes,
+        dict(by="prop1", witness={"k": 1}),
+        ("prop1", {"k": 1}),
+        "Vanishes(by='prop1', witness={'k': 1})",
+    ),
+    (
+        EquationFails,
+        dict(by="lemma1", equation_report=_REPORT),
+        ("lemma1", _REPORT),
+        "EquationFails(by='lemma1', equation_report="
+        "EquationReport(lhs=12, rhs=6, holds=False, slack=6))",
+    ),
+    (NotApplicable, dict(reason="x"), ("x",), "NotApplicable(reason='x')"),
+    (NotConcluded, dict(reason="x"), ("x",), "NotConcluded(reason='x')"),
+]
+
+
+def test_equal_fields_in_another_class_are_not_equal():
+    assert NotApplicable("x") != NotConcluded("x")
+    assert NotApplicable(reason="x") == NotApplicable("x")
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+class TestRecordContract:
+    """Every record is equal to a record of its own class with equal fields,
+    hashed and shown by those fields, and immutable."""
+
+    def test_keyword_and_positional_construction_agree(self, cls, kwargs, fields, text):
+        assert cls(**kwargs) == cls(*kwargs.values())
+
+    def test_equality_is_by_class_and_fields(self, cls, kwargs, fields, text):
+        r = cls(**kwargs)
+        assert r == cls(**copy.deepcopy(kwargs)) and not r != cls(**kwargs)
+        assert r != fields and fields != r
+        others = [c(**k) for c, k, _, _ in RECORDS if c is not cls]
+        assert all(r != o for o in others)
+
+    def test_hash_is_the_hash_of_the_fields(self, cls, kwargs, fields, text):
+        r = cls(**kwargs)
+        if _hashable(fields):
+            assert hash(r) == hash(fields)
+        else:
+            with pytest.raises(TypeError):
+                hash(r)
+
+    def test_repr(self, cls, kwargs, fields, text):
+        assert repr(cls(**kwargs)) == text
+
+    def test_assignment_and_deletion_raise(self, cls, kwargs, fields, text):
+        r = cls(**kwargs)
+        for name in (*kwargs, "orbit", "new_name"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert r == cls(**kwargs)
+
+    def test_copies_round_trip(self, cls, kwargs, fields, text):
+        r = cls(**kwargs)
+        for back in (copy.deepcopy(r), copy.copy(r), pickle.loads(pickle.dumps(r))):
+            assert back == r and back.__class__ is cls and repr(back) == text

@@ -1271,6 +1271,13 @@ class TestVerdict:
         assert v.witness["top_trivial_blocks"] == [5, 5, 5]
         assert v.witness["block_sum"] == 15 and v.witness["required"] == 14
 
+    def test_cor1_cannot_fail_once_the_equation_holds(self, monkeypatch):
+        # every representation leads with a trivial block and the equation
+        # holds, so Corollary 1 is proved to hold: its failure is a fault
+        monkeypatch.setattr(dimeq.theorems, "check_corollary1", lambda n, l, m1s: False)
+        with pytest.raises(InternalError, match="fail cor1"):
+            vanishing_verdict(IntegralSpec(6, (minimal_eisenstein(6),) * 3))
+
     def test_equation_fails_prop3(self):
         spec = IntegralSpec(
             6,

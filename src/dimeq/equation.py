@@ -8,6 +8,7 @@ n^2 - 1, the dimension budget before reduction to the mirabolic.
 
 from __future__ import annotations
 
+import bisect
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import InternalError, InvalidInputError, Record, ResourceLimitError, echo, need_int
@@ -173,20 +174,17 @@ def enumerate_orbit_solutions(
     dims = [target - c for c in range(target, -1, -1) if reach[n][n] >> c & 1]
     reachable = set(dims)
     found: list[tuple[int, ...]] = []
-
-    def rec(start: int, slots: int, need: int, acc: tuple[int, ...]) -> None:
+    stack = [(0, target, ())]  # (first index, need, dimensions so far)
+    while stack:
+        start, need, acc = stack.pop()
+        slots = l - len(acc)
         if slots == 1:
-            # the caller's d * slots <= need leaves need >= d: still ascending
+            # the step before kept d * slots <= need: need >= d, still ascending
             if need in reachable:
                 found.append(acc + (need,))
-            return
-        for k in range(start, len(dims)):
-            d = dims[k]
-            if d * slots > need:
-                break  # dims ascending: every later choice overshoots too
-            rec(k, slots - 1, need - d, acc + (d,))
-
-    rec(0, l, target, ())
+            continue
+        end = bisect.bisect_right(dims, need // slots, start)  # d * slots <= need
+        stack += [(k, need - dims[k], acc + (dims[k],)) for k in range(start, end)]
 
     # An orbit is named by its alphabet index, its reverse-lexicographic rank:
     # ascending indices are descending parts, in a solution and across solutions

@@ -1,6 +1,6 @@
-"""Exception types and the two rules their messages share: echo quotes every
+"""Exception types and the rules their messages share: echo quotes every
 value a message shows, abbreviated and safe on ints too long to print, and
-need_int is the one check that an argument is an int within its bounds.
+need_int and need_tuple check that an argument is a bounded int or iterable.
 Record is the immutable base of the package's value types."""
 
 import reprlib
@@ -11,8 +11,8 @@ class InvalidInputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested search exceeds the configured size bounds or the
-    interpreter's recursion limit.
+    """A requested search exceeds the configured size bounds or a fixed
+    depth limit (theorems.MAX_LEADING_BLOCKS).
 
     Raised instead of silently truncating, so callers can distinguish "no
     solutions" from "refused to look".  The CLI maps this to exit code 3.
@@ -67,6 +67,15 @@ def need_int(
         bounds = f">= {echo(low)}" if high is None else f"in [{echo(low)}, {echo(high)}]"
         raise InvalidInputError(f"{who} needs {name} {bounds}, got {echo(value)}")
     return value
+
+
+def need_tuple(value: object, who: str, name: str) -> tuple:
+    """tuple(value), if value is iterable."""
+    try:
+        iter(value)
+    except TypeError:
+        raise InvalidInputError(f"{who} needs an iterable of {name}, got {echo(value)}") from None
+    return tuple(value)
 
 
 class Record:

@@ -7,11 +7,13 @@ here is exact integer arithmetic; there is deliberately no float anywhere.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 
-from .errors import InternalError, InvalidInputError, Record, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, echo, need_int, need_tuple
 
 
 class Dominance(enum.Enum):
@@ -45,7 +47,7 @@ class Partition:
     __slots__ = ("_runs", "_parts", "_n", "_length")
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(parts)
+        parts = need_tuple(parts, "Partition", "parts")
         if not parts:
             raise InvalidInputError(_EMPTY)
         # Validation and run compression in one pass.  A part equal to the
@@ -85,7 +87,7 @@ class Partition:
         """
         checked: list[tuple[int, int]] = []
         n = length = 0
-        for run in runs:
+        for run in need_tuple(runs, "Partition.from_runs", "runs"):
             try:
                 v, m = run
             except (TypeError, ValueError):
@@ -400,7 +402,7 @@ class EpsilonVector(Record, fields=("n", "bits")):
     """
 
     def __init__(self, n: int, bits: Iterable[int]) -> None:
-        bits = tuple(bits)
+        bits = need_tuple(bits, "EpsilonVector", "bits")
         if len(bits) != need_int(n, 2, "EpsilonVector") - 1:
             raise InvalidInputError(
                 f"EpsilonVector needs n - 1 bits, got n={echo(n)} and {len(bits)} bits"
@@ -451,24 +453,19 @@ def epsilon_preimage(lam: Partition) -> Iterator[EpsilonVector]:
     once, in reverse-lexicographic order of the run lengths.
     """
     n = lam.n
-    counts = dict(lam.runs)
-    values = list(counts)  # insertion order: decreasing part values
-
-    def orders(left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                for rest in orders(left - 1):
-                    yield (v,) + rest
-                counts[v] += 1
-
-    for runs in orders(lam.length):
+    runs = list(lam.parts)  # the largest ordering; each step goes to the previous one
+    while True:
         bits = [1] * (n - 1)
-        end = 0
-        for r in runs[:-1]:
-            end += r
+        for end in accumulate(runs[:-1]):
             bits[end - 1] = 0
         yield EpsilonVector(n, bits)
+        # the previous ordering: swap runs[i] for the largest smaller entry of
+        # its nondecreasing tail, then reverse the tail
+        i = len(runs) - 2
+        while i >= 0 and runs[i] <= runs[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = bisect.bisect_left(runs, runs[i], i + 1) - 1
+        runs[i], runs[j] = runs[j], runs[i]
+        runs[i + 1 :] = runs[:i:-1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import InternalError, InvalidInputError, Record, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, echo, need_int, need_tuple
 from .partitions import Partition
 
 
@@ -87,9 +87,9 @@ class Eisenstein(Record, fields=("blocks", "constituents")):
 
     def __init__(self, blocks: Iterable[int], constituents: Iterable[RepDescriptor]) -> None:
         if blocks.__class__ is not tuple:
-            blocks = tuple(blocks)
+            blocks = need_tuple(blocks, "Eisenstein", "blocks")
         if constituents.__class__ is not tuple:
-            constituents = tuple(constituents)
+            constituents = need_tuple(constituents, "Eisenstein", "constituents")
         if len(blocks) < 2:
             raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
         # one walk: a block that is not an int or below 1 is reported before any increase
@@ -207,7 +207,7 @@ class IntegralSpec(Record, fields=("n", "representations")):
     """
 
     def __init__(self, n: int, representations: Iterable[RepDescriptor] = ()) -> None:
-        representations = tuple(representations)
+        representations = need_tuple(representations, "IntegralSpec", "representations")
         need_int(n, 1, "IntegralSpec")
         if not representations:
             raise InvalidInputError("IntegralSpec needs at least one representation")

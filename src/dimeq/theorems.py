@@ -22,7 +22,8 @@ import math
 from collections import namedtuple
 
 from .equation import EquationReport, check_dim_equation
-from .errors import InternalError, InvalidInputError, Record, ResourceLimitError, echo, need_int
+from .errors import InternalError, InvalidInputError, Record, ResourceLimitError, echo
+from .errors import need_int, need_tuple
 from .partitions import (
     Dominance,
     EpsilonVector,
@@ -43,6 +44,7 @@ from .representations import (
 )
 
 DEFAULT_CEX_CAP = 100
+MAX_LEADING_BLOCKS = 1000  # the most leading blocks _block_sweep walks
 
 
 class VerificationReport(
@@ -335,7 +337,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
     best = [0] * (n + 1)
 
     for m1 in range(2, n + 1):
-        cases = lemma2_reduction_cases(n, m1)
+        (case,) = lemma2_reduction_cases(n, m1)
         s = n - m1 + 1
 
         # (i) positivity on the case partitions; lemma2_I reads mu only
@@ -343,7 +345,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
         # premise is checked by columns: a mu of length m1 has a column of m1
         # and others of at most m1, and rep dim C(n,2) - sum C(c_j, 2).
         if m1 < n:
-            space += len(cases) * (at_most[m1] - at_most[m1 - 1])
+            space += at_most[m1] - at_most[m1 - 1]
             pair = m1 * (m1 - 1) // 2
             for t in range(m1, n + 1):
                 best[t] = max(best[t], best[t - m1] + pair)
@@ -353,9 +355,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
                 violations.append(
                     {"branch": "i-alt", "m1": m1, "rep_dim": low.rep_dim(), "alternate": alt}
                 )
-            for case in cases:
-                if lemma2_I(case.partition, low) > 0:
-                    continue
+            if lemma2_I(case.partition, low) <= 0:
                 for mu in _of_length(n, m1):
                     margin = lemma2_I(case.partition, mu)
                     if margin <= 0:
@@ -375,7 +375,7 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
 
         # (iii) window margin at the one a whose window holds n, when a >= 3;
         # fractions (denominators > 0) cross-multiplied
-        a = -(-n // s)
+        a = case.a
         if a >= 3:
             left, left_den = a * m1 - (a + 1), a - 1
             space += 1
@@ -447,7 +447,7 @@ def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
     Computed by the step recursion r_1 = m_1 - 1, r_{j+1} = r_j - (n - m_{j+1})
     and cross-checked against the closed form.  May be negative.
     """
-    m1s = tuple(m1s)
+    m1s = need_tuple(m1s, "residual_bound", "blocks")
     if not m1s:
         raise InvalidInputError("residual_bound needs at least one block")
     _check_blocks("residual_bound", n, m1s)
@@ -463,7 +463,7 @@ def residual_bound(n: int, m1s: tuple[int, ...] | list[int]) -> int:
 def check_corollary1(n: int, l: int, m1s: tuple[int, ...] | list[int]) -> bool:
     """True when l trivial leading blocks are jointly too large for the
     equation: sum(m) >= n(l-1) + 2."""
-    m1s = tuple(m1s)
+    m1s = need_tuple(m1s, "check_corollary1", "blocks")
     need_int(l, 2, "check_corollary1", "l")
     if len(m1s) != l:
         raise InvalidInputError(
@@ -482,36 +482,31 @@ def _block_sweep(
     m(n-m) summing to at most budget; and which of those sum below `below`.
 
     On that range the cost rises strictly as m falls, so the cheapest way to
-    fill the slots left after a block is to repeat it; once that overshoots,
-    every smaller block does too, and the walk over the first k-1 slots
-    breaks there.  The last slot is not walked: the blocks that fit it are a
-    prefix of those left, counted by one bisect, and as big[i] = n-1-i, the
-    ones that leave the sum below `below` are the suffix from index
-    n + sum(prefix) - below.  Only that suffix becomes tuples.  A walk too
-    deep for the interpreter is refused with ResourceLimitError.
+    fill the slots left after a block is to repeat it: the blocks that can
+    extend a prefix are those whose repetition fits, found by one bisect.
+    The last slot is counted by one bisect, not walked, and as big[i] =
+    n-1-i, its blocks that leave the sum below `below` are the suffix from
+    index n + sum(prefix) - below: only those become tuples.  A walk past
+    MAX_LEADING_BLOCKS leading blocks is refused with ResourceLimitError.
     """
     big = range(n - 1, n // 2, -1)
     cost = [m * (n - m) for m in big]
     feasible = 0
     short: list[tuple[int, ...]] = []
-
-    def walk(prefix: tuple[int, ...], start: int, spent: int, left: int) -> None:
-        nonlocal feasible
+    stack = [((), 0, 0)]  # (leading blocks, first index, cost spent)
+    while stack:
+        prefix, start, spent = stack.pop()
+        left = k - len(prefix)
         if left == 1:
             end = bisect.bisect_right(cost, budget - spent, start)
             feasible += end - start
-            first_short = max(start, n + sum(prefix) - below)
-            short.extend(prefix + (big[i],) for i in range(first_short, end))
-            return
-        for i in range(start, len(cost)):
-            if spent + left * cost[i] > budget:
-                break
-            walk(prefix + (big[i],), i, spent + cost[i], left - 1)
-
-    try:
-        walk((), 0, 0, k)
-    except RecursionError:
-        raise ResourceLimitError(f"block search too deep: n={echo(n)}, {k} slots") from None
+            for i in range(max(start, n + sum(prefix) - below), end):
+                short.append(prefix + (big[i],))
+            continue
+        if len(prefix) == MAX_LEADING_BLOCKS:
+            raise ResourceLimitError(f"block search too deep: n={echo(n)}, {k} slots")
+        for i in range(start, bisect.bisect_right(cost, (budget - spent) // left, start)):
+            stack.append((prefix + (big[i],), i, spent + cost[i]))
     return math.comb(len(big) + k - 1, k), feasible, short
 
 
@@ -605,7 +600,6 @@ def verify_prop5(
         )
     need_int(l, 3, "verify_prop5", "l")
     need_int(cex_cap, 0, "verify_prop5", "cex_cap")
-    p = n // q
     budget = n * (q - 1) // 2
     required = n - q + 1
     space, feasible, short = _block_sweep(n, l - 1, budget, required + (l - 2) * n + 1)
@@ -621,7 +615,7 @@ def verify_prop5(
     if applicable:
         disc = (l - 1) * (l - 1) * n * n - 2 * n * (l - 1) * (q - 1)
         rhs = (l - 1) * n - 2 * (q - 2)
-        holds = rhs < 0 or disc > rhs * rhs
+        holds = disc > rhs * rhs  # rhs >= n + 4 > 0, as q <= n/2 and l >= 3
         closed.update({"disc": disc, "rhs_sqrt": rhs, "holds": holds})
         space += 1
         if not holds:
@@ -633,7 +627,7 @@ def verify_prop5(
         "n": n,
         "q": q,
         "l": l,
-        "p": p,
+        "p": n // q,
         "feasible_count": feasible,
         "vacuous": feasible == 0,
         "closed_form": closed,

@@ -284,6 +284,14 @@ class TestEquationCommands:
         )
         assert rc == 0 and json.loads(out)["count"] > 0
 
+    def test_solve_with_thousands_of_slots(self, capsys):
+        # (4)(1^4)^1999 and (2,1,1)^2(1^4)^1998: one search slot per representation
+        rc, out, err = run_cli(
+            capsys, "equation", "solve", "--n", "4", "--l", "2000", "--max-l", "2000"
+        )
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["count"] == 2
+
 
 class TestVerifyCommands:
     def test_lemma1_json(self, capsys):

@@ -4,7 +4,9 @@ string: a value of another type is an InvalidInputError with one message,
 TypeError.  Limits such as cex_cap, max_n and max_l are checked the same way,
 by the library, before any sweep.  A value out of its range reads
 "<who> needs <name> >= <low>" or "<who> needs <name> in [<low>, <high>]", and
-every number a message quotes, however long, is shown by errors.echo."""
+every number a message quotes, however long, is shown by errors.echo.  A
+sequence argument that is not iterable reads "<who> needs an iterable of
+<name>, got <value>"."""
 
 import pytest
 
@@ -124,6 +126,34 @@ def test_every_integer_argument_is_type_checked(call, args, message):
 )
 def test_named_cases(build, message):
     assert _raised(build) == (InvalidInputError, message)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # each of these ended in a bare TypeError
+        (lambda: dimeq.IntegralSpec(4, 5),
+         "IntegralSpec needs an iterable of representations, got 5"),
+        (lambda: dimeq.Eisenstein(5, ()), "Eisenstein needs an iterable of blocks, got 5"),
+        (lambda: dimeq.Eisenstein((3, 1), 7),
+         "Eisenstein needs an iterable of constituents, got 7"),
+        (lambda: EpsilonVector(3, None), "EpsilonVector needs an iterable of bits, got None"),
+        (lambda: Partition(5), "Partition needs an iterable of parts, got 5"),
+        (lambda: Partition.from_runs(5), "Partition.from_runs needs an iterable of runs, got 5"),
+        (lambda: dimeq.residual_bound(6, 5), "residual_bound needs an iterable of blocks, got 5"),
+        (lambda: dimeq.check_corollary1(6, 3, 5),
+         "check_corollary1 needs an iterable of blocks, got 5"),
+    ],
+)
+def test_every_sequence_argument_is_iterable(build, message):
+    assert _raised(build) == (InvalidInputError, message)
+
+
+def test_a_type_error_while_iterating_is_not_renamed():
+    # only iter() itself is checked: a fault inside the iteration surfaces as it is
+    assert _raised(lambda: Partition(map(len, [1]))) == (
+        TypeError, "object of type 'int' has no len()"
+    )
 
 
 # (id, call, the value at a bound, the value one past it, the message for that one)

@@ -12,6 +12,7 @@ from dimeq import (
     Partition,
     dominance_floor,
     enumerate_partitions,
+    epsilon_preimage,
     partition_from_epsilon,
 )
 
@@ -485,6 +486,14 @@ class TestEpsilon:
     )
     def test_attached_partition_frozen(self, bits, parts):
         assert partition_from_epsilon(EpsilonVector.parse(bits)).parts == parts
+
+    def test_preimage_of_a_long_partition(self):
+        # one ordering of (1^1500), whose pattern is all zeros; (2, 1^1200)
+        # has 1,201, one per position of the 2
+        (only,) = epsilon_preimage(Partition.from_runs([(1, 1500)]))
+        assert only == EpsilonVector(1500, (0,) * 1499)
+        patterns = list(epsilon_preimage(Partition.from_runs([(2, 1), (1, 1200)])))
+        assert len(set(patterns)) == len(patterns) == 1201
 
     def test_attached_partition_properties(self):
         import itertools

@@ -11,6 +11,7 @@ import math
 import re
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -894,12 +895,18 @@ class TestDominanceMinima:
     def test_cases_of_a_neighbouring_m1_are_walked_like_the_oracle(
         self, monkeypatch, step, branch
     ):
-        # The cases of m1 - 1 fail branch (i) at m1.
+        # The cases of m1 - 1 fail branch (i) at m1.  Each m1 keeps one case,
+        # and its own a, which branch (iii) reads off the case.
         real_cases = dimeq.theorems.lemma2_reduction_cases
-        monkeypatch.setattr(
-            dimeq.theorems, "lemma2_reduction_cases",
-            lambda n, m1: real_cases(n, m1 + step) if 2 <= m1 + step <= n else [],
-        )
+
+        def neighbour_cases(n, m1):
+            (case,) = real_cases(n, m1)
+            if 2 <= m1 + step <= n:
+                (other,) = real_cases(n, m1 + step)
+                case = types.SimpleNamespace(a=case.a, partition=other.partition)
+            return [case]
+
+        monkeypatch.setattr(dimeq.theorems, "lemma2_reduction_cases", neighbour_cases)
         for n in range(4, 15):
             for cap in CAPS:
                 got, want = verify_lemma2_reduction(n, cex_cap=cap), reduction_oracle(n, cap)
@@ -1078,6 +1085,18 @@ class TestBlockSweep:
     def test_too_deep_is_a_resource_limit(self, call, slots):
         with pytest.raises(ResourceLimitError, match=f"too deep: {slots}$"):
             call()
+
+    def test_depth_limit_does_not_depend_on_the_caller(self):
+        # 979 leading blocks are within the fixed limit and 1,199 past it,
+        # however many frames the caller already holds
+        def nested(frames, call):
+            return nested(frames - 1, call) if frames else call()
+
+        for frames in (0, 300):
+            r = nested(frames, lambda: verify_prop4(1960, 980))
+            assert r.passed and r.parameters["feasible_count"] == 1, frames
+            with pytest.raises(ResourceLimitError, match="too deep: n=2400, 1200 slots$"):
+                nested(frames, lambda: verify_prop4(2400, 1200))
 
 
 class TestVerifyProp4:

@@ -70,12 +70,20 @@ def need_int(
 
 
 def need_tuple(value: object, who: str, name: str) -> tuple:
-    """tuple(value), if value is iterable."""
+    """value if it is a tuple, else tuple(value), if value is iterable.  A
+    TypeError raised while iterating surfaces as it is."""
+    if value.__class__ is tuple:
+        return value
     try:
-        iter(value)
+        return tuple(value)
     except TypeError:
-        raise InvalidInputError(f"{who} needs an iterable of {name}, got {echo(value)}") from None
-    return tuple(value)
+        try:
+            iter(value)
+        except TypeError:
+            raise InvalidInputError(
+                f"{who} needs an iterable of {name}, got {echo(value)}"
+            ) from None
+        raise
 
 
 class Record:

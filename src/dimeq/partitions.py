@@ -450,9 +450,10 @@ def epsilon_preimage(lam: Partition) -> Iterator[EpsilonVector]:
     The inverse of partition_from_epsilon: each distinct ordering of lam's
     parts, read as consecutive run lengths, puts a zero at the end of every
     run but the last.  Yields lam.length! / prod(multiplicity!) patterns, each
-    once, in reverse-lexicographic order of the run lengths.
+    once, in reverse-lexicographic order of the run lengths.  GL_1 has no
+    superdiagonal, so lam must partition some n >= 2.
     """
-    n = lam.n
+    n = need_int(lam.n, 2, "epsilon_preimage")
     runs = list(lam.parts)  # the largest ordering; each step goes to the previous one
     while True:
         bits = [1] * (n - 1)

@@ -1,11 +1,14 @@
 """Representation descriptors and their attached orbits.
 
 A descriptor records just enough about an automorphic representation of
-GL_n to do dimension bookkeeping: which unipotent orbit is attached to it.
-Induced (Eisenstein) descriptors carry their parabolic block sizes and
-constituent descriptors; the attached orbit is the componentwise sum of the
-constituents' orbits, and the dimension is computed along both routes
-(orbit route and blocks-plus-constituents route) and cross-checked.
+GL_n to do dimension bookkeeping: which unipotent orbit is attached to it,
+and its dimension.  Induced (Eisenstein) descriptors carry their parabolic
+block sizes and constituent descriptors; the attached orbit is the
+componentwise sum of the constituents' orbits.  Every descriptor sets its
+orbit and its dimension once, when it is built: Generic, Speh and
+TrivialConstituent by closed forms, ExplicitOrbit from its orbit, Eisenstein
+by the block route (constituent dimensions plus the pairwise block
+products).  dim_rep checks that dimension against the orbit route.
 """
 
 from __future__ import annotations
@@ -21,18 +24,24 @@ def _leaf_orbit(value: int, count: int) -> Partition:
     return Partition._of_runs(((value, count),), value * count, count)
 
 
-class Generic(Record, fields=("n",)):
+class RepDescriptor(Record, fields=()):
+    """The base of the five descriptor kinds below: each one's __init__ sets
+    the attached orbit and the dimension dim, outside its fields."""
+
+
+class Generic(RepDescriptor, fields=("n",)):
     """A representation with full Whittaker support on GL_n; orbit (n)."""
 
     def __init__(self, n: int) -> None:
         d = self.__dict__
         d["n"], d["orbit"] = n, _leaf_orbit(need_int(n, 1, "Generic"), 1)
+        d["dim"] = n * (n - 1) // 2
 
     def to_json(self) -> dict:
         return {"kind": "generic", "n": self.n}
 
 
-class Speh(Record, fields=("p", "q")):
+class Speh(RepDescriptor, fields=("p", "q")):
     """The square-integrable residual block on GL_{p*q}; orbit (p^q).
 
     q = 1 reduces to the generic orbit (p); p = 1 is the one-dimensional
@@ -44,12 +53,13 @@ class Speh(Record, fields=("p", "q")):
         need_int(p, 1, "Speh", "p")
         d = self.__dict__
         d["p"], d["q"], d["orbit"] = p, q, _leaf_orbit(p, need_int(q, 1, "Speh", "q"))
+        d["dim"] = p * (p - 1) * q * q // 2
 
     def to_json(self) -> dict:
         return {"kind": "speh", "p": self.p, "q": self.q}
 
 
-class TrivialConstituent(Record, fields=("n",)):
+class TrivialConstituent(RepDescriptor, fields=("n",)):
     """The one-dimensional representation of GL_n; orbit (1^n).
 
     Only meaningful as an Eisenstein constituent; rejected at top level.
@@ -58,24 +68,26 @@ class TrivialConstituent(Record, fields=("n",)):
     def __init__(self, n: int) -> None:
         d = self.__dict__
         d["n"], d["orbit"] = n, _leaf_orbit(1, need_int(n, 1, "TrivialConstituent"))
+        d["dim"] = 0
 
     def to_json(self) -> dict:
         return {"kind": "trivial", "n": self.n}
 
 
-class ExplicitOrbit(Record, fields=("orbit",)):
+class ExplicitOrbit(RepDescriptor, fields=("orbit",)):
     """Escape hatch: a representation known only through its attached orbit."""
 
     def __init__(self, orbit: Partition) -> None:
         if not isinstance(orbit, Partition):
             raise InvalidInputError("ExplicitOrbit needs a Partition")
-        self.__dict__["orbit"] = orbit
+        d = self.__dict__
+        d["orbit"], d["dim"] = orbit, orbit.rep_dim()
 
     def to_json(self) -> dict:
         return {"kind": "orbit", "parts": list(self.orbit.parts)}
 
 
-class Eisenstein(Record, fields=("blocks", "constituents")):
+class Eisenstein(RepDescriptor, fields=("blocks", "constituents")):
     """Representation induced from the parabolic with the given block sizes.
 
     blocks must be weakly decreasing positive integers, at least two of
@@ -86,10 +98,8 @@ class Eisenstein(Record, fields=("blocks", "constituents")):
     """
 
     def __init__(self, blocks: Iterable[int], constituents: Iterable[RepDescriptor]) -> None:
-        if blocks.__class__ is not tuple:
-            blocks = need_tuple(blocks, "Eisenstein", "blocks")
-        if constituents.__class__ is not tuple:
-            constituents = need_tuple(constituents, "Eisenstein", "constituents")
+        blocks = need_tuple(blocks, "Eisenstein", "blocks")
+        constituents = need_tuple(constituents, "Eisenstein", "constituents")
         if len(blocks) < 2:
             raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
         # one walk: a block that is not an int or below 1 is reported before any increase
@@ -104,7 +114,8 @@ class Eisenstein(Record, fields=("blocks", "constituents")):
             raise InvalidInputError(f"blocks must be weakly decreasing, got {echo(list(blocks))}")
         if len(constituents) != len(blocks):
             raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
-        total = None
+        # the block route: sum_i dim(c_i) + sum_{i<j} m_i m_j, each block times those before it
+        total, dim, before = None, 0, 0
         for b, c in zip(blocks, constituents):
             orbit = attached_orbit(c)
             if orbit.n != b:
@@ -112,8 +123,10 @@ class Eisenstein(Record, fields=("blocks", "constituents")):
                     f"constituent of rank {echo(orbit.n)} attached to block of size {echo(b)}"
                 )
             total = orbit if total is None else total + orbit
+            dim += c.dim + b * before
+            before += b
         d = self.__dict__
-        d["blocks"], d["constituents"], d["orbit"] = blocks, constituents, total
+        d["blocks"], d["constituents"], d["orbit"], d["dim"] = blocks, constituents, total, dim
 
     def to_json(self) -> dict:
         return {
@@ -123,19 +136,15 @@ class Eisenstein(Record, fields=("blocks", "constituents")):
         }
 
 
-RepDescriptor = Generic | Speh | TrivialConstituent | ExplicitOrbit | Eisenstein
-
-
 def attached_orbit(rep: RepDescriptor) -> Partition:
     """The unipotent orbit attached to the descriptor.
 
     Every descriptor computes it once, when it is built; for induced data
     it is the componentwise sum of the constituents' orbits.
     """
-    orbit = getattr(rep, "orbit", None)
-    if not isinstance(orbit, Partition):
+    if not isinstance(rep, RepDescriptor):
         raise InvalidInputError(f"not a representation descriptor: {echo(rep)}")
-    return orbit
+    return rep.orbit
 
 
 def rank(rep: RepDescriptor) -> int:
@@ -146,20 +155,16 @@ def rank(rep: RepDescriptor) -> int:
 def dim_rep(rep: RepDescriptor) -> int:
     """Gelfand–Kirillov dimension: half the attached orbit's dimension.
 
-    For Eisenstein descriptors the value is computed twice — from the
-    attached orbit, and as sum of constituent dimensions plus the pairwise
-    block products — and the two routes must agree (InternalError otherwise).
+    The value is known along two routes, which must agree (InternalError
+    otherwise).  The block route is rep.dim, set when the descriptor was
+    built: a leaf's closed form, or for Eisenstein descriptors the sum of
+    the constituents' dimensions plus the pairwise block products.  The
+    orbit route is computed here, from the attached orbit, without
+    recursing into constituents.
     """
     d = attached_orbit(rep).rep_dim()
-    if isinstance(rep, Eisenstein):
-        # the pairwise block products: sum_{i<j} m_i m_j = (S^2 - sum m_i^2) / 2
-        s = sum(rep.blocks)
-        alt = sum(dim_rep(c) for c in rep.constituents)
-        alt += (s * s - sum(m * m for m in rep.blocks)) // 2
-        if alt != d:
-            raise InternalError(
-                f"induced-dimension routes disagree: {alt} vs {d} for {echo(rep)}"
-            )
+    if rep.dim != d:
+        raise InternalError(f"dimension routes disagree: {rep.dim} vs {d} for {echo(rep)}")
     return d
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dimeq import cli, theorems
+from dimeq import cli, representations, theorems
 from dimeq.errors import InternalError
 
 # sha256 of the full `dimeq verify all` stdout; any change to a report's
@@ -616,6 +616,21 @@ class TestPlumbing:
         rc, out, err = run_cli(capsys, "verify", "lemma1", "--n", "6")
         assert rc == 4 and out == ""
         assert err == "internal error: routes disagree\n"
+
+    def test_forged_descriptor_dim_is_exit_4(self, capsys, monkeypatch, tmp_path):
+        # every generic the reader builds claims one dimension too many, so
+        # the dimension equation's dim_rep finds its two routes disagree
+        build = representations.Generic.__init__
+
+        def forged(self, n):
+            build(self, n)
+            self.__dict__["dim"] += 1
+
+        monkeypatch.setattr(representations.Generic, "__init__", forged)
+        spec = {"n": 4, "representations": [{"kind": "generic"}, {"kind": "speh", "p": 2, "q": 2}]}
+        rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "s.json", spec))
+        assert rc == 4 and out == ""
+        assert err == "internal error: dimension routes disagree: 7 vs 6 for Generic(n=4)\n"
 
     def test_missing_subcommand_is_exit_2(self, capsys):
         assert run_cli(capsys, "equation")[0] == 2

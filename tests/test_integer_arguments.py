@@ -301,3 +301,18 @@ def test_every_verifier_checks_cex_cap_before_its_sweep(sweeps_refused, name):
         assert _raised(lambda: v.func(*args, cex_cap=bad)) == (
             InvalidInputError, f"{who} needs {message}"
         )
+
+
+def test_a_good_sequence_argument_is_read_once():
+    # a tuple is kept as it is; any other iterable is iterated once, by tuple()
+    reps = (Generic(4), Speh(2, 2))
+    assert dimeq.IntegralSpec(4, reps).representations is reps
+
+    class Parts:
+        iterated = 0
+
+        def __iter__(self):
+            Parts.iterated += 1
+            return iter((3, 1))
+
+    assert Partition(Parts()).parts == (3, 1) and Parts.iterated == 1

@@ -487,6 +487,12 @@ class TestEpsilon:
     def test_attached_partition_frozen(self, bits, parts):
         assert partition_from_epsilon(EpsilonVector.parse(bits)).parts == parts
 
+    def test_preimage_refuses_rank_one_under_its_own_name(self):
+        # GL_1 has no superdiagonal, so no pattern maps to (1)
+        with pytest.raises(InvalidInputError) as raised:
+            list(epsilon_preimage(Partition([1])))
+        assert str(raised.value) == "epsilon_preimage needs n >= 2, got 1"
+
     def test_preimage_of_a_long_partition(self):
         # one ordering of (1^1500), whose pattern is all zeros; (2, 1^1200)
         # has 1,201, one per position of the 2

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import pickle
+import types
 
 import pytest
 
@@ -15,6 +16,7 @@ from dimeq import (
     ExplicitOrbit,
     Generic,
     IntegralSpec,
+    InternalError,
     InvalidInputError,
     Lemma2Case,
     NotApplicable,
@@ -41,6 +43,15 @@ from dimeq.representations import MAX_NESTING
 T = TrivialConstituent
 
 
+def nested(levels):
+    """Wire JSON of a trivial constituent induced up levels times: level r
+    has blocks [r, 1], so the orbit is the generic (levels + 1)."""
+    rep = {"kind": "trivial"}
+    for r in range(1, levels + 1):
+        rep = {"kind": "eisenstein", "blocks": [r, 1], "constituents": [rep, {"kind": "trivial"}]}
+    return rep
+
+
 class TestDescriptors:
     def test_attached_orbits_frozen(self):
         assert attached_orbit(Generic(6)).parts == (6,)
@@ -62,19 +73,33 @@ class TestDescriptors:
         assert Generic(3) == Generic(3) and hash(Generic(3)) == hash(Generic(3))
         assert repr(ExplicitOrbit(Partition([3, 1]))) == "ExplicitOrbit(orbit=Partition([3, 1]))"
 
+    def test_dim_is_set_once_and_stays_out_of_eq_and_hash(self):
+        # TestRecordContract pins every descriptor's repr, which dim stays out of
+        e = Eisenstein((4, 2), (Speh(2, 2), Generic(2)))
+        assert e.dim == 4 + 1 + 4 * 2 == dim_rep(e)
+        forged = Generic(3)
+        forged.__dict__["dim"] = 0
+        assert forged == Generic(3) and hash(forged) == hash(Generic(3))
+
     def test_eisenstein_from_lists_is_the_tuple_form(self):
         listed = Eisenstein([5, 1], [Generic(5), T(1)])
         tupled = Eisenstein((5, 1), (Generic(5), T(1)))
         assert listed == tupled and hash(listed) == hash(tupled)
 
     def test_non_descriptors_rejected(self):
-        for bad in ("generic", Partition([2]), None):
+        # an object that only has an attached orbit has no dim: not a descriptor
+        orbit_only = types.SimpleNamespace(orbit=Partition([1]))
+        for bad in ("generic", Partition([2]), None, orbit_only):
             with pytest.raises(InvalidInputError):
                 rank(bad)
             with pytest.raises(InvalidInputError):
                 attached_orbit(bad)
+            with pytest.raises(InvalidInputError):
+                dim_rep(bad)
         with pytest.raises(InvalidInputError):
             Eisenstein((2, 1), (Generic(2), "trivial"))
+        with pytest.raises(InvalidInputError, match="^not a representation descriptor: "):
+            Eisenstein((2, 1), (Generic(2), orbit_only))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -142,6 +167,41 @@ class TestDimensions:
                     cons.append(Speh(divs[-1], m // divs[-1]))
                 e = Eisenstein(blocks.parts, tuple(cons))
                 assert dim_rep(e) == attached_orbit(e).rep_dim()
+
+    def test_leaf_closed_forms_match_the_orbit_route(self):
+        # Generic (n), Speh (p^q) and TrivialConstituent (1^n) set dim by a
+        # closed form; the orbit route halves their orbit's dimension
+        for n in range(1, 61):
+            leaves = [Generic(n), T(n)] + [Speh(p, n // p) for p in range(1, n + 1) if n % p == 0]
+            for rep in leaves:
+                assert rep.dim == attached_orbit(rep).rep_dim() == dim_rep(rep), rep
+
+    def test_a_forged_dim_is_caught(self):
+        def forged(rep):
+            rep.__dict__["dim"] += 1
+            return rep
+
+        with pytest.raises(InternalError) as raised:
+            dim_rep(forged(minimal_eisenstein(4)))
+        assert str(raised.value) == (
+            "dimension routes disagree: 4 vs 3 for Eisenstein(blocks=(3, 1), "
+            "constituents...tituent(n=3), TrivialConstituent(n=1)))"
+        )
+        for rep in (Generic(4), Speh(2, 2), T(4), ExplicitOrbit(Partition([3, 1]))):
+            with pytest.raises(InternalError, match="^dimension routes disagree: "):
+                dim_rep(forged(rep))
+        # a forged constituent carries into the dim of every descriptor built on it
+        outer = Eisenstein((6, 2), (Eisenstein((4, 2), (forged(Speh(2, 2)), T(2))), T(2)))
+        with pytest.raises(InternalError, match="^dimension routes disagree: 25 vs 24 "):
+            dim_rep(outer)
+
+    def test_dim_rep_reads_one_orbit_at_the_nesting_cap(self, monkeypatch):
+        rep = rep_from_json(nested(MAX_NESTING))
+        read = []
+        orbit_dim = Partition.orbit_dim
+        monkeypatch.setattr(Partition, "orbit_dim", lambda p: read.append(p) or orbit_dim(p))
+        assert dim_rep(rep) == (MAX_NESTING + 1) * MAX_NESTING // 2
+        assert read == [rep.orbit]
 
     def test_dual_route_on_many_blocks(self):
         # k blocks of 1 induce the generic orbit (k); the block route's
@@ -269,13 +329,6 @@ class TestJson:
         )
 
     def test_nesting_is_capped(self):
-        def nested(levels):
-            rep = {"kind": "trivial"}
-            for r in range(1, levels + 1):
-                rep = {"kind": "eisenstein", "blocks": [r, 1],
-                       "constituents": [rep, {"kind": "trivial"}]}
-            return rep
-
         assert rank(rep_from_json(nested(MAX_NESTING))) == MAX_NESTING + 1
         with pytest.raises(InvalidInputError, match="nest more than"):
             rep_from_json(nested(MAX_NESTING + 1))
@@ -612,7 +665,7 @@ class TestRecordContract:
 
     def test_assignment_and_deletion_raise(self, cls, kwargs, fields, text):
         r = cls(**kwargs)
-        for name in (*kwargs, "orbit", "new_name"):
+        for name in (*kwargs, "orbit", "dim", "new_name"):
             with pytest.raises(AttributeError):
                 setattr(r, name, 1)
             with pytest.raises(AttributeError):

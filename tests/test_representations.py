@@ -1,6 +1,7 @@
 """Representation descriptors, attached orbits, and the two dimension routes."""
 
 import copy
+import hashlib
 import itertools
 import json
 import pickle
@@ -37,6 +38,8 @@ from dimeq import (
     spec_from_json,
     spec_to_json,
     top_trivial_block,
+    vanishing_verdict,
+    verdict_to_json,
 )
 from dimeq.representations import MAX_NESTING
 
@@ -525,6 +528,11 @@ def _without_ranks(obj):
     return obj
 
 
+# sha256 of the census verdicts, one json.dumps line per spec, in the order
+# test_census_verdicts_are_pinned reads them
+CENSUS_VERDICTS_SHA256 = "29c7bcf09a0dc65adf6af583f3a8fd735db242162d98cd31625d65e774a934e1"
+
+
 def _shape(p):
     return p.runs, p.n, p.length
 
@@ -555,6 +563,25 @@ class TestCensusGrammar:
                     assert [_shape(r.orbit) for r in back.representations] == [
                         _shape(r.orbit) for r in spec.representations
                     ]
+
+    def test_census_verdicts_are_pinned(self):
+        # every ordered pair of nontrivial census descriptors of rank <= 5
+        # (22,163 specs), each read twice: the second read finds its
+        # descriptors already built, and must reach the same verdict
+        digest, specs = hashlib.sha256(), 0
+        for n in range(1, 6):
+            reps = [r for r, _ in _census_grammar(n) if not r.orbit.is_trivial_orbit()]
+            for a, b in itertools.product(reps, repeat=2):
+                wire = spec_to_json(IntegralSpec(n, (a, b)))
+                first, second = (
+                    json.dumps(verdict_to_json(vanishing_verdict(spec_from_json(wire))))
+                    for _ in range(2)
+                )
+                assert first == second, wire
+                digest.update(first.encode() + b"\n")
+                specs += 1
+        assert specs == 22163
+        assert digest.hexdigest() == CENSUS_VERDICTS_SHA256
 
 
 _REPORT = EquationReport(lhs=12, rhs=6, holds=False, slack=6)

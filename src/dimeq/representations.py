@@ -28,6 +28,9 @@ class RepDescriptor(Record, fields=()):
     """The base of the five descriptor kinds below: each one's __init__ sets
     the attached orbit and the dimension dim, outside its fields."""
 
+    def __init__(self) -> None:
+        raise InvalidInputError("RepDescriptor is a base class; build one of its five kinds")
+
 
 class Generic(RepDescriptor, fields=("n",)):
     """A representation with full Whittaker support on GL_n; orbit (n)."""
@@ -251,6 +254,25 @@ class IntegralSpec(Record, fields=("n", "representations")):
 # level costs a few stack frames in the recursive readers and in repr.
 MAX_NESTING = 100
 
+# Descriptors read from the wire are shared: equal validated wire values give
+# the descriptor first built from them, kept until the table holds _SHARED_MAX.
+# Orbit-kind descriptors, and Eisenstein data over one or of rank above
+# _SHARED_RANK, are built on every read: their keys would grow with the rank.
+_SHARED_MAX = 4096
+_SHARED_RANK = 64
+_shared: dict[tuple, RepDescriptor] = {}
+
+
+def _shared_rep(key: tuple | None, build: type, *args: object) -> RepDescriptor:
+    rep = _shared.get(key)
+    if rep is None:
+        rep = build(*args)
+        if key is not None:
+            if len(_shared) >= _SHARED_MAX:
+                _shared.clear()
+            _shared[key] = rep
+    return rep
+
 
 def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescriptor:
     """Build a descriptor from wire-format JSON.
@@ -258,12 +280,15 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
     expected_rank supplies the rank for kinds that do not carry one
     ("generic", "trivial" without an explicit "n"); when a rank is both
     supplied and derivable they must agree.  Eisenstein constituents may
-    nest at most MAX_NESTING levels deep.
+    nest at most MAX_NESTING levels deep.  Equal descriptors read in one
+    process are one shared immutable object; orbit-kind ones, and Eisenstein
+    data over them or of rank above 64, are not shared.
     """
-    return _rep_from_json(obj, expected_rank, 0)
+    return _rep_from_json(obj, expected_rank, 0)[0]
 
 
-def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDescriptor:
+def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> tuple:
+    """The descriptor and its key in _shared, None when it is not shared."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"representation must be a JSON object, got {echo(obj)}")
     kind = obj.get("kind")
@@ -271,16 +296,17 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
         n = obj.get("n", expected_rank)
         if n is None:
             raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
-        need_int(n, None, kind, '"n"')
-        rep: RepDescriptor = Generic(n) if kind == "generic" else TrivialConstituent(n)
+        key: tuple | None = (kind, need_int(n, None, kind, '"n"'))
+        rep = _shared_rep(key, Generic if kind == "generic" else TrivialConstituent, n)
     elif kind == "speh":
         p = need_int(obj.get("p"), None, kind, '"p"')
-        rep = Speh(p, need_int(obj.get("q"), None, kind, '"q"'))
+        key = (kind, p, need_int(obj.get("q"), None, kind, '"q"'))
+        rep = _shared_rep(key, Speh, p, key[2])
     elif kind == "orbit":
         parts = obj.get("parts")
         if not isinstance(parts, list):
             raise InvalidInputError(f"orbit needs a \"parts\" list, got {echo(obj)}")
-        rep = ExplicitOrbit(Partition(parts))
+        rep, key = ExplicitOrbit(Partition(parts)), None
     elif kind == "eisenstein":
         blocks = obj.get("blocks")
         constituents = obj.get("constituents")
@@ -296,8 +322,11 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
             raise InvalidInputError(
                 f"eisenstein constituents nest more than {MAX_NESTING} levels deep"
             )
-        reps = tuple([_rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)])
-        rep = Eisenstein(blocks=tuple(blocks), constituents=reps)
+        built = [_rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)]
+        reps, keys = tuple([r for r, _ in built]), tuple([k for _, k in built])
+        blocks = tuple(blocks)
+        key = (blocks, keys) if None not in keys and sum(blocks) <= _SHARED_RANK else None
+        rep = _shared_rep(key, Eisenstein, blocks, reps)
     else:
         raise InvalidInputError(f"unknown representation kind {echo(kind)}")
     if expected_rank is not None and rep.orbit.n != expected_rank:
@@ -305,7 +334,7 @@ def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> RepDes
             f"representation has rank {echo(rep.orbit.n)}, expected {echo(expected_rank)}: "
             f"{echo(obj)}"
         )
-    return rep
+    return rep, key
 
 
 def rep_to_json(rep: RepDescriptor) -> dict:
@@ -314,14 +343,15 @@ def rep_to_json(rep: RepDescriptor) -> dict:
 
 
 def spec_from_json(obj: object) -> IntegralSpec:
-    """Build an IntegralSpec from {"n": ..., "representations": [...]}."""
+    """Build an IntegralSpec from {"n": ..., "representations": [...]}; its
+    descriptors are read, and shared, as by rep_from_json."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"integral spec must be a JSON object, got {echo(obj)}")
     n = need_int(obj.get("n"), None, "integral spec", '"n"')
     reps = obj.get("representations")
     if not isinstance(reps, list):
         raise InvalidInputError("integral spec needs a \"representations\" list")
-    return IntegralSpec(n, tuple([_rep_from_json(r, n, 0) for r in reps]))
+    return IntegralSpec(n, tuple([_rep_from_json(r, n, 0)[0] for r in reps]))
 
 
 def spec_to_json(spec: IntegralSpec) -> dict:

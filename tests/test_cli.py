@@ -447,6 +447,74 @@ class TestVanishCommand:
         assert err == "error: vanishing_verdict needs at least 2 representations, got 1\n"
 
 
+# CI's two invalid specs and a constituent of the wrong rank, each with the
+# stderr of `dimeq vanish` on it
+INVALID_SPECS = {
+    "increasing-blocks": (
+        {
+            "n": 6,
+            "representations": [
+                {
+                    "kind": "eisenstein",
+                    "blocks": [2, 4],
+                    "constituents": [{"kind": "generic"}, {"kind": "generic"}],
+                },
+                {"kind": "generic"},
+            ],
+        },
+        "error: blocks must be weakly decreasing, got [2, 4]\n",
+    ),
+    "bool-rank": (
+        {
+            "n": 6,
+            "representations": [{"kind": "generic", "n": True}, {"kind": "speh", "p": 2, "q": 3}],
+        },
+        'error: generic needs an integer "n", got True\n',
+    ),
+    "constituent-rank": (
+        {
+            "n": 6,
+            "representations": [
+                {
+                    "kind": "eisenstein",
+                    "blocks": [4, 2],
+                    "constituents": [{"kind": "speh", "p": 2, "q": 1}, {"kind": "generic"}],
+                },
+                {"kind": "generic"},
+            ],
+        },
+        "error: representation has rank 2, expected 4: {'kind': 'speh', 'p': 2, 'q': 1}\n",
+    ),
+}
+
+# valid descriptors equal to the parts of the invalid specs, and to what
+# their wrong values are equal to (True == 1)
+WARM_UP = (
+    [{"kind": "generic", "n": n} for n in range(1, 7)]
+    + [{"kind": "speh", "p": 2, "q": q} for q in (1, 2, 3)]
+    + [
+        {"kind": "eisenstein", "blocks": [4, 2], "constituents": [head, {"kind": "generic"}]}
+        for head in ({"kind": "generic"}, {"kind": "speh", "p": 2, "q": 2})
+    ]
+)
+
+
+class TestSharedDescriptors:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", INVALID_SPECS)
+    def test_invalid_specs_read_alike_on_a_warm_table(
+        self, capsys, monkeypatch, tmp_path, name, warm
+    ):
+        monkeypatch.setattr(representations, "_shared", {})
+        if warm:
+            for rep in WARM_UP:
+                representations.rep_from_json(rep)
+            assert len(representations._shared) == len(WARM_UP)
+        spec, err = INVALID_SPECS[name]
+        rc, out, got = run_cli(capsys, "vanish", write_spec(tmp_path, "bad.json", spec))
+        assert (rc, out, got) == (2, "", err)
+
+
 def nested_spec_text(depth):
     """A spec whose first representation nests Eisenstein constituents
     depth levels deep (JSON nesting 2·depth), written out directly: the
@@ -619,13 +687,15 @@ class TestPlumbing:
 
     def test_forged_descriptor_dim_is_exit_4(self, capsys, monkeypatch, tmp_path):
         # every generic the reader builds claims one dimension too many, so
-        # the dimension equation's dim_rep finds its two routes disagree
+        # the dimension equation's dim_rep finds its two routes disagree; an
+        # empty table of shared descriptors makes the reader build them
         build = representations.Generic.__init__
 
         def forged(self, n):
             build(self, n)
             self.__dict__["dim"] += 1
 
+        monkeypatch.setattr(representations, "_shared", {})
         monkeypatch.setattr(representations.Generic, "__init__", forged)
         spec = {"n": 4, "representations": [{"kind": "generic"}, {"kind": "speh", "p": 2, "q": 2}]}
         rc, out, err = run_cli(capsys, "vanish", write_spec(tmp_path, "s.json", spec))

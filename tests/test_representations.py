@@ -41,7 +41,8 @@ from dimeq import (
     vanishing_verdict,
     verdict_to_json,
 )
-from dimeq.representations import MAX_NESTING
+from dimeq import representations
+from dimeq.representations import MAX_NESTING, RepDescriptor
 
 T = TrivialConstituent
 
@@ -358,6 +359,69 @@ class TestJson:
             rep_from_json({"kind": "mystery", "n": 3})
 
 
+class TestSharedDescriptors:
+    """Equal descriptors read from the wire are one object, unless their
+    size grows with the rank."""
+
+    SPEC = {
+        "n": 6,
+        "representations": [
+            {
+                "kind": "eisenstein",
+                "blocks": [4, 2],
+                "constituents": [{"kind": "speh", "p": 2, "q": 2}, {"kind": "generic"}],
+            },
+            {"kind": "generic"},
+            {"kind": "speh", "p": 3, "q": 2},
+        ],
+    }
+
+    def test_a_spec_read_twice_gives_the_same_objects(self):
+        first = spec_from_json(self.SPEC)
+        second = spec_from_json(json.loads(json.dumps(self.SPEC)))
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first.representations, second.representations))
+        eis = first.representations[0]
+        assert eis.constituents[0] is rep_from_json({"kind": "speh", "p": 2, "q": 2})
+        assert eis.constituents[1] is rep_from_json({"kind": "generic", "n": 2})
+
+    def test_orbit_kinds_are_built_on_every_read(self, monkeypatch):
+        monkeypatch.setattr(representations, "_shared", {})
+        n = 10**5
+        minimal = {"kind": "orbit", "parts": [2] + [1] * (n - 2)}
+        column = {"kind": "orbit", "parts": [1] * (n - 1)}
+        trivial = {"kind": "trivial"}
+        induced = {"kind": "eisenstein", "blocks": [n - 1, 1], "constituents": [column, trivial]}
+        spec = {"n": n, "representations": [minimal, induced, {"kind": "generic"}]}
+        first, second = spec_from_json(spec), spec_from_json(spec)
+        assert first == second
+        assert first.representations[0] is not second.representations[0]
+        assert first.representations[1] is not second.representations[1]
+        orbit = {"kind": "orbit", "parts": [1, 1]}
+        small = {"kind": "eisenstein", "blocks": [2, 1], "constituents": [orbit, trivial]}
+        assert rep_from_json(small) is not rep_from_json(small)
+        assert sorted(representations._shared) == [("generic", n), ("trivial", 1)]
+
+    def test_eisenstein_data_of_large_rank_is_built_on_every_read(self, monkeypatch):
+        monkeypatch.setattr(representations, "_shared", {})
+        top = representations._SHARED_RANK
+        for n, shared in ((top, True), (top + 1, False)):
+            trivials = [{"kind": "trivial"}] * 2
+            wire = {"kind": "eisenstein", "blocks": [n - 1, 1], "constituents": trivials}
+            assert (rep_from_json(wire) is rep_from_json(wire)) == shared
+        # the Eisenstein of rank _SHARED_RANK and the trivials of ranks 1, top - 1 and top
+        assert len(representations._shared) == 4
+
+    def test_the_table_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(representations, "_shared", {})
+        bound, sizes = representations._SHARED_MAX, set()
+        for n in range(1, 2 * bound + 2):
+            wire = {"kind": "generic", "n": n}
+            assert rep_from_json(wire) is rep_from_json(wire)
+            sizes.add(len(representations._shared))
+        assert max(sizes) == bound and min(sizes) == 1
+
+
 def _raised(build) -> tuple[type, str]:
     with pytest.raises(Exception) as info:
         build()
@@ -399,6 +463,8 @@ class TestErrorMessages:
                 "constituent of rank 3 attached to block of size 2",
             ),
             (lambda: ExplicitOrbit([4]), "ExplicitOrbit needs a Partition"),
+            # the base class has no orbit and no dimension of its own
+            (RepDescriptor, "RepDescriptor is a base class; build one of its five kinds"),
             (
                 lambda: rep_from_json({"kind": "orbit", "parts": []}),
                 "a partition needs at least one part",

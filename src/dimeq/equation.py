@@ -174,17 +174,21 @@ def enumerate_orbit_solutions(
     dims = [target - c for c in range(target, -1, -1) if reach[n][n] >> c & 1]
     reachable = set(dims)
     found: list[tuple[int, ...]] = []
-    stack = [(0, target, ())]  # (first index, need, dimensions so far)
+    # (first index, need, slots left, dimensions so far as a (last, rest) chain)
+    stack: list[tuple] = [(0, target, l, None)]
     while stack:
-        start, need, acc = stack.pop()
-        slots = l - len(acc)
+        start, need, slots, chosen = stack.pop()
         if slots == 1:
             # the step before kept d * slots <= need: need >= d, still ascending
             if need in reachable:
-                found.append(acc + (need,))
+                dimset = [need]
+                while chosen is not None:
+                    d, chosen = chosen
+                    dimset.append(d)
+                found.append(tuple(reversed(dimset)))
             continue
         end = bisect.bisect_right(dims, need // slots, start)  # d * slots <= need
-        stack += [(k, need - dims[k], acc + (dims[k],)) for k in range(start, end)]
+        stack += [(k, need - dims[k], slots - 1, (dims[k], chosen)) for k in range(start, end)]
 
     # An orbit is named by its alphabet index, its reverse-lexicographic rank:
     # ascending indices are descending parts, in a solution and across solutions

@@ -264,13 +264,12 @@ _shared: dict[tuple, RepDescriptor] = {}
 
 
 def _shared_rep(key: tuple | None, build: type, *args: object) -> RepDescriptor:
-    rep = _shared.get(key)
-    if rep is None:
-        rep = build(*args)
-        if key is not None:
-            if len(_shared) >= _SHARED_MAX:
-                _shared.clear()
-            _shared[key] = rep
+    """build(*args), kept under key unless key is None; called on a miss."""
+    rep = build(*args)
+    if key is not None:
+        if len(_shared) >= _SHARED_MAX:
+            _shared.clear()
+        _shared[key] = rep
     return rep
 
 
@@ -280,61 +279,82 @@ def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescripto
     expected_rank supplies the rank for kinds that do not carry one
     ("generic", "trivial" without an explicit "n"); when a rank is both
     supplied and derivable they must agree.  Eisenstein constituents may
-    nest at most MAX_NESTING levels deep.  Equal descriptors read in one
-    process are one shared immutable object; orbit-kind ones, and Eisenstein
-    data over them or of rank above 64, are not shared.
+    nest at most MAX_NESTING levels deep.  Each list of descriptors (this
+    one object, or an Eisenstein's constituents) is read in one loop, and
+    every check runs on every read.  Equal descriptors read in one process are
+    one shared immutable object; orbit-kind ones, and Eisenstein data over
+    them or of rank above 64, are not shared.
     """
-    return _rep_from_json(obj, expected_rank, 0)[0]
+    return _reps_from_json([obj], [expected_rank], 0)[0][0]
 
 
-def _rep_from_json(obj: object, expected_rank: int | None, depth: int) -> tuple:
-    """The descriptor and its key in _shared, None when it is not shared."""
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"representation must be a JSON object, got {echo(obj)}")
-    kind = obj.get("kind")
-    if kind in ("generic", "trivial"):
-        n = obj.get("n", expected_rank)
-        if n is None:
-            raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
-        key: tuple | None = (kind, need_int(n, None, kind, '"n"'))
-        rep = _shared_rep(key, Generic if kind == "generic" else TrivialConstituent, n)
-    elif kind == "speh":
-        p = need_int(obj.get("p"), None, kind, '"p"')
-        key = (kind, p, need_int(obj.get("q"), None, kind, '"q"'))
-        rep = _shared_rep(key, Speh, p, key[2])
-    elif kind == "orbit":
-        parts = obj.get("parts")
-        if not isinstance(parts, list):
-            raise InvalidInputError(f"orbit needs a \"parts\" list, got {echo(obj)}")
-        rep, key = ExplicitOrbit(Partition(parts)), None
-    elif kind == "eisenstein":
-        blocks = obj.get("blocks")
-        constituents = obj.get("constituents")
-        if not isinstance(blocks, list) or not isinstance(constituents, list):
+def _reps_from_json(objs: list, ranks: list, depth: int) -> tuple[list, list]:
+    """The descriptors read from objs, each against the expected rank at its
+    place in ranks, and their keys in _shared, None where one is not shared."""
+    shared = _shared
+    reps, keys = [], []
+    for obj, expected_rank in zip(objs, ranks):
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"representation must be a JSON object, got {echo(obj)}")
+        kind = obj.get("kind")
+        if kind == "generic" or kind == "trivial":
+            n = obj.get("n", expected_rank)
+            if n.__class__ is not int:
+                if n is None:
+                    raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
+                need_int(n, None, kind, '"n"')
+            key: tuple | None = (kind, n)
+            rep = shared.get(key)
+            if rep is None:
+                rep = _shared_rep(key, Generic if kind == "generic" else TrivialConstituent, n)
+        elif kind == "speh":
+            p, q = obj.get("p"), obj.get("q")
+            if p.__class__ is not int or q.__class__ is not int:
+                need_int(p, None, kind, '"p"')
+                need_int(q, None, kind, '"q"')
+            key = (kind, p, q)
+            rep = shared.get(key)
+            if rep is None:
+                rep = _shared_rep(key, Speh, p, q)
+        elif kind == "eisenstein":
+            blocks = obj.get("blocks")
+            constituents = obj.get("constituents")
+            if not isinstance(blocks, list) or not isinstance(constituents, list):
+                raise InvalidInputError(
+                    f"eisenstein needs \"blocks\" and \"constituents\" lists, got {echo(obj)}"
+                )
+            for b in blocks:
+                if b.__class__ is not int:
+                    need_int(b, None, kind, '"blocks"')
+            if len(blocks) != len(constituents):
+                raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
+            if depth == MAX_NESTING:
+                raise InvalidInputError(
+                    f"eisenstein constituents nest more than {MAX_NESTING} levels deep"
+                )
+            inner, inner_keys = _reps_from_json(constituents, blocks, depth + 1)
+            blocks = tuple(blocks)
+            key = None
+            if None not in inner_keys and sum(blocks) <= _SHARED_RANK:
+                key = (blocks, tuple(inner_keys))
+            rep = shared.get(key)  # None is never a key
+            if rep is None:
+                rep = _shared_rep(key, Eisenstein, blocks, tuple(inner))
+        elif kind == "orbit":
+            parts = obj.get("parts")
+            if not isinstance(parts, list):
+                raise InvalidInputError(f"orbit needs a \"parts\" list, got {echo(obj)}")
+            rep, key = ExplicitOrbit(Partition(parts)), None
+        else:
+            raise InvalidInputError(f"unknown representation kind {echo(kind)}")
+        if expected_rank is not None and rep.orbit.n != expected_rank:
             raise InvalidInputError(
-                f"eisenstein needs \"blocks\" and \"constituents\" lists, got {echo(obj)}"
+                f"representation has rank {echo(rep.orbit.n)}, expected {echo(expected_rank)}: "
+                f"{echo(obj)}"
             )
-        for b in blocks:
-            need_int(b, None, kind, '"blocks"')
-        if len(blocks) != len(constituents):
-            raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
-        if depth == MAX_NESTING:
-            raise InvalidInputError(
-                f"eisenstein constituents nest more than {MAX_NESTING} levels deep"
-            )
-        built = [_rep_from_json(c, b, depth + 1) for b, c in zip(blocks, constituents)]
-        reps, keys = tuple([r for r, _ in built]), tuple([k for _, k in built])
-        blocks = tuple(blocks)
-        key = (blocks, keys) if None not in keys and sum(blocks) <= _SHARED_RANK else None
-        rep = _shared_rep(key, Eisenstein, blocks, reps)
-    else:
-        raise InvalidInputError(f"unknown representation kind {echo(kind)}")
-    if expected_rank is not None and rep.orbit.n != expected_rank:
-        raise InvalidInputError(
-            f"representation has rank {echo(rep.orbit.n)}, expected {echo(expected_rank)}: "
-            f"{echo(obj)}"
-        )
-    return rep, key
+        reps.append(rep)
+        keys.append(key)
+    return reps, keys
 
 
 def rep_to_json(rep: RepDescriptor) -> dict:
@@ -343,15 +363,16 @@ def rep_to_json(rep: RepDescriptor) -> dict:
 
 
 def spec_from_json(obj: object) -> IntegralSpec:
-    """Build an IntegralSpec from {"n": ..., "representations": [...]}; its
-    descriptors are read, and shared, as by rep_from_json."""
+    """Build an IntegralSpec from {"n": ..., "representations": [...]}.  Its
+    representations are read in one pass, each against rank n, with the
+    checks and the sharing of rep_from_json."""
     if not isinstance(obj, dict):
         raise InvalidInputError(f"integral spec must be a JSON object, got {echo(obj)}")
     n = need_int(obj.get("n"), None, "integral spec", '"n"')
     reps = obj.get("representations")
     if not isinstance(reps, list):
         raise InvalidInputError("integral spec needs a \"representations\" list")
-    return IntegralSpec(n, tuple([_rep_from_json(r, n, 0)[0] for r in reps]))
+    return IntegralSpec(n, tuple(_reps_from_json(reps, [n] * len(reps), 0)[0]))
 
 
 def spec_to_json(spec: IntegralSpec) -> dict:

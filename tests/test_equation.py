@@ -170,6 +170,15 @@ class TestSolve:
             ]
             assert got == solutions_oracle(n, l, ex, dom), (n, l, ex, dom)
 
+    def test_long_solutions(self):
+        # n = 4 balances as (4) or (2, 1, 1)^2, each padded with (1^4)
+        l = 20_000
+        got = enumerate_orbit_solutions(4, l, max_l=l)
+        assert [[p.parts for p in s] for s in got] == [
+            [(4,)] + [(1, 1, 1, 1)] * (l - 1),
+            [(2, 1, 1)] * 2 + [(1, 1, 1, 1)] * (l - 2),
+        ]
+
     def test_canonical_order(self):
         sols = enumerate_orbit_solutions(6, 2)
         keys = [tuple(p.parts for p in s) for s in sols]

@@ -482,6 +482,10 @@ class TestErrorMessages:
             ),
             (lambda: spec_from_json([]), "integral spec must be a JSON object, got []"),
             (lambda: spec_from_json({"n": 4}), 'integral spec needs a "representations" list'),
+            (
+                lambda: rep_from_json({"kind": "generic"}),
+                "kind 'generic' needs an explicit \"n\" here",
+            ),
         ],
     )
     def test_library_path(self, build, message):
@@ -550,11 +554,38 @@ class TestErrorMessages:
                 {"kind": "speh", "p": 2, "q": 2},
                 "representation has rank 4, expected 6: {'kind': 'speh', 'p': 2, 'q': 2}",
             ),
+            # a kind that is not a string is unknown, not a TypeError
+            ({"kind": [1]}, "unknown representation kind [1]"),
+            ({"kind": {}}, "unknown representation kind {}"),
+            # of two bad constituents, the first one's message wins
+            (
+                {"kind": "eisenstein", "blocks": [4, 2],
+                 "constituents": [{"kind": "generic", "n": True}, {"kind": "mystery"}]},
+                'generic needs an integer "n", got True',
+            ),
+            # every block is checked before any constituent is read
+            (
+                {"kind": "eisenstein", "blocks": [4, 2.0],
+                 "constituents": [{"kind": "mystery"}, {"kind": "generic"}]},
+                'eisenstein needs an integer "blocks", got 2.0',
+            ),
+            # a rank mismatch deep inside nested Eisensteins gives the inner message
+            (
+                {"kind": "eisenstein", "blocks": [5, 1], "constituents": [
+                    {"kind": "eisenstein", "blocks": [3, 2], "constituents": [
+                        {"kind": "eisenstein", "blocks": [2, 1], "constituents": [
+                            {"kind": "generic"}, {"kind": "speh", "p": 2, "q": 1}]},
+                        {"kind": "generic"}]},
+                    {"kind": "trivial"}]},
+                "representation has rank 2, expected 1: {'kind': 'speh', 'p': 2, 'q': 1}",
+            ),
         ],
     )
     def test_json_path(self, rep, message):
         spec = {"n": 6, "representations": [rep, {"kind": "generic"}]}
         assert _raised(lambda: spec_from_json(spec)) == (InvalidInputError, message)
+        # a representation read alone against the same rank fails the same way
+        assert _raised(lambda: rep_from_json(rep, 6)) == (InvalidInputError, message)
 
     def test_json_rank_from_context_must_be_an_integer(self):
         assert _raised(lambda: rep_from_json({"kind": "generic"}, expected_rank=2.0)) == (

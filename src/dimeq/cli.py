@@ -16,13 +16,10 @@ format; csv is available for `equation solve`.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from collections.abc import Callable
-from itertools import chain
 
 from .equation import (
     DEFAULT_MAX_L,
@@ -155,35 +152,25 @@ def cmd_equation_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distinct_orbits(solutions: list[tuple[Partition, ...]]) -> dict[int, Partition]:
-    """The solutions' orbits by id: solutions share one object per orbit, and
-    all of them stay alive while the output is rendered, so an id names one."""
-    return {id(p): p for p in chain.from_iterable(solutions)}
-
-
-def _solutions_csv(n: int, l: int, solutions: list[tuple[Partition, ...]]) -> str:
-    orbits = _distinct_orbits(solutions)
-    # each orbit's partition,rep_dim cells go through the csv writer once
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([str(p), p.rep_dim()] for p in orbits.values())
-    cells = dict(zip(orbits, buf.getvalue().split("\n")))
-    lines = ["n,l,solution_index,orbit_index,partition,rep_dim"]
-    lines += [f"{n},{l},{si},{oi},{cells[i]}" for si, sol in enumerate(solutions)
-              for oi, i in enumerate(map(id, sol))]
-    return "\n".join(lines)
-
-
 def cmd_equation_solve(args: argparse.Namespace) -> int:
     n, l = args.n, args.l
+    # --max-one-dominant is parsed and ignored: a proved no-op (README) kept for pinned argv
     solutions = enumerate_orbit_solutions(
-        n, l, args.exclude_trivial, args.max_one_dominant,
-        max_n=args.max_n, max_l=args.max_l,
+        n, l, args.exclude_trivial, max_n=args.max_n, max_l=args.max_l
     )
+    # solutions share one object per orbit, all alive while rendered: an id names one
+    orbits = {id(p): p for sol in solutions for p in sol}
     if args.format == "csv":
-        _write(args, _solutions_csv(n, l, solutions))
+        # csv.writer quotes a partition exactly when it holds a comma: two or more parts
+        cells = {i: (f'"{p}"' if p.length > 1 else str(p)) + f",{p.rep_dim()}"
+                 for i, p in orbits.items()}
+        lines = ["n,l,solution_index,orbit_index,partition,rep_dim"]
+        lines += [f"{n},{l},{si},{oi},{cells[i]}" for si, sol in enumerate(solutions)
+                  for oi, i in enumerate(map(id, sol))]
+        _write(args, "\n".join(lines))
         return 0
-    # each orbit rendered once; str(p) is also p's compact JSON array
-    labels = {i: str(p) for i, p in _distinct_orbits(solutions).items()}.__getitem__
+    # str(p) is also p's compact JSON array
+    labels = {i: str(p) for i, p in orbits.items()}.__getitem__
     if args.format == "text":
         lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
         lines += ["  " + " + ".join(map(labels, map(id, sol))) for sol in solutions]

@@ -135,7 +135,6 @@ def enumerate_orbit_solutions(
     n: int,
     l: int,
     exclude_trivial: bool = False,
-    max_one_dominant: bool = False,
     *,
     max_n: int = DEFAULT_MAX_N,
     max_l: int = DEFAULT_MAX_L,
@@ -145,11 +144,6 @@ def enumerate_orbit_solutions(
     Solutions are unordered: each is returned once, its partitions sorted
     largest-first lexicographically, and the solution list itself sorted the
     same way.  exclude_trivial drops the zero orbit (1^n) from the alphabet.
-    max_one_dominant asks for at most one orbit dominating the all-twos floor
-    per solution, which every solution already has, so it filters nothing:
-    the floor's orbit dim is n^2/2 (even n) or (n^2-1)/2 (odd n), above
-    n(n-1)/2, and orbit dim grows with dominance, so two orbits dominating
-    the floor have rep dims summing past C(n,2).
 
     The search runs over dimensions, not partitions: with column lengths
     lam'_j, rep_dim(lam) = C(n,2) - sum_j C(lam'_j, 2), so the achievable

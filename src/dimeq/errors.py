@@ -113,8 +113,13 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
-        return f"{self.__class__.__qualname__}({shown})"
+        shown = []
+        for f, v in zip(self._fields, self._values()):
+            try:
+                shown.append(f"{f}={v!r}")
+            except ValueError:  # an int past CPython's 4,300-digit limit, which repr refuses
+                shown.append(f"{f}={echo(v)}")
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -152,7 +152,10 @@ class Partition:
         return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        try:
+            return f"Partition({list(self.parts)})"
+        except ValueError:  # a part past CPython's 4,300-digit limit, which repr refuses
+            return f"Partition({echo(list(self.parts))})"
 
     def __str__(self) -> str:
         return "[" + ",".join([",".join([str(v)] * m) for v, m in self._runs]) + "]"

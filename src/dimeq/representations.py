@@ -263,28 +263,20 @@ _SHARED_RANK = 64
 _shared: dict[tuple, RepDescriptor] = {}
 
 
-def _shared_rep(key: tuple | None, build: type, *args: object) -> RepDescriptor:
-    """build(*args), kept under key unless key is None; called on a miss."""
-    rep = build(*args)
-    if key is not None:
-        if len(_shared) >= _SHARED_MAX:
-            _shared.clear()
-        _shared[key] = rep
-    return rep
-
-
 def rep_from_json(obj: object, expected_rank: int | None = None) -> RepDescriptor:
     """Build a descriptor from wire-format JSON.
 
     expected_rank supplies the rank for kinds that do not carry one
-    ("generic", "trivial" without an explicit "n"); when a rank is both
-    supplied and derivable they must agree.  Eisenstein constituents may
-    nest at most MAX_NESTING levels deep.  Each list of descriptors (this
-    one object, or an Eisenstein's constituents) is read in one loop, and
-    every check runs on every read.  Equal descriptors read in one process are
-    one shared immutable object; orbit-kind ones, and Eisenstein data over
-    them or of rank above 64, are not shared.
+    ("generic", "trivial" without an explicit "n"); it must be an int, and
+    when a rank is both supplied and derivable they must agree.  Eisenstein
+    constituents may nest at most MAX_NESTING levels deep.  Each list of
+    descriptors (this one object, or an Eisenstein's constituents) is read
+    in one loop, and every check runs on every read.  Equal descriptors read
+    in one process are one shared immutable object; orbit-kind ones, and
+    Eisenstein data over them or of rank above 64, are not shared.
     """
+    if expected_rank is not None:
+        need_int(expected_rank, None, "rep_from_json", "expected_rank")
     return _reps_from_json([obj], [expected_rank], 0)[0][0]
 
 
@@ -304,18 +296,13 @@ def _reps_from_json(objs: list, ranks: list, depth: int) -> tuple[list, list]:
                     raise InvalidInputError(f"kind {echo(kind)} needs an explicit \"n\" here")
                 need_int(n, None, kind, '"n"')
             key: tuple | None = (kind, n)
-            rep = shared.get(key)
-            if rep is None:
-                rep = _shared_rep(key, Generic if kind == "generic" else TrivialConstituent, n)
+            build, args = Generic if kind == "generic" else TrivialConstituent, (n,)
         elif kind == "speh":
             p, q = obj.get("p"), obj.get("q")
             if p.__class__ is not int or q.__class__ is not int:
                 need_int(p, None, kind, '"p"')
                 need_int(q, None, kind, '"q"')
-            key = (kind, p, q)
-            rep = shared.get(key)
-            if rep is None:
-                rep = _shared_rep(key, Speh, p, q)
+            key, build, args = (kind, p, q), Speh, (p, q)
         elif kind == "eisenstein":
             blocks = obj.get("blocks")
             constituents = obj.get("constituents")
@@ -334,19 +321,23 @@ def _reps_from_json(objs: list, ranks: list, depth: int) -> tuple[list, list]:
                 )
             inner, inner_keys = _reps_from_json(constituents, blocks, depth + 1)
             blocks = tuple(blocks)
-            key = None
+            key, build, args = None, Eisenstein, (blocks, tuple(inner))
             if None not in inner_keys and sum(blocks) <= _SHARED_RANK:
                 key = (blocks, tuple(inner_keys))
-            rep = shared.get(key)  # None is never a key
-            if rep is None:
-                rep = _shared_rep(key, Eisenstein, blocks, tuple(inner))
         elif kind == "orbit":
             parts = obj.get("parts")
             if not isinstance(parts, list):
                 raise InvalidInputError(f"orbit needs a \"parts\" list, got {echo(obj)}")
-            rep, key = ExplicitOrbit(Partition(parts)), None
+            key, build, args = None, ExplicitOrbit, (Partition(parts),)
         else:
             raise InvalidInputError(f"unknown representation kind {echo(kind)}")
+        rep = shared.get(key)  # None is never a key
+        if rep is None:
+            rep = build(*args)  # stored only once built: a raising constructor stores nothing
+            if key is not None:
+                if len(shared) >= _SHARED_MAX:
+                    shared.clear()
+                shared[key] = rep
         if expected_rank is not None and rep.orbit.n != expected_rank:
             raise InvalidInputError(
                 f"representation has rank {echo(rep.orbit.n)}, expected {echo(expected_rank)}: "

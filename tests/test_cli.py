@@ -2,7 +2,10 @@
 with an argparse default; no environment variable sets one."""
 
 import argparse
+import csv
 import hashlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dimeq import cli, representations, theorems
+from dimeq import cli, enumerate_orbit_solutions, representations, theorems
 from dimeq.errors import InternalError
 
 # sha256 of the full `dimeq verify all` stdout; any change to a report's
@@ -291,6 +294,33 @@ class TestEquationCommands:
         )
         assert (rc, err) == (0, "")
         assert json.loads(out)["count"] == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("exclude", [(), ("--exclude-trivial",)])
+    def test_max_one_dominant_is_parsed_and_ignored(self, capsys, fmt, exclude):
+        # the flag would keep solutions with at most one orbit above the
+        # all-twos floor, which every solution is, so it changes no byte
+        for n, l in [(4, 2), (6, 3), (9, 4), (12, 2)]:
+            argv = ("equation", "solve", "--n", str(n), "--l", str(l), *exclude, "--format", fmt)
+            plain = run_cli(capsys, *argv)
+            assert plain[0] == 0 and plain[1]
+            assert run_cli(capsys, *argv, "--max-one-dominant") == plain
+
+    def test_solve_csv_matches_csv_writer(self, capsys):
+        # the reference rendering goes through csv.writer, whose quoting the
+        # CLI's cells reproduce by hand
+        for n, l, exclude in itertools.product(range(2, 13), range(1, 5), (False, True)):
+            argv = ["--n", str(n), "--l", str(l), "--format", "csv"]
+            rc, out, err = run_cli(capsys, "equation", "solve", *argv,
+                                   *["--exclude-trivial"] * exclude)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "l", "solution_index", "orbit_index", "partition", "rep_dim"])
+            for si, sol in enumerate(enumerate_orbit_solutions(n, l, exclude)):
+                for oi, p in enumerate(sol):
+                    cell = "[" + ",".join(map(str, p.parts)) + "]"
+                    writer.writerow([n, l, si, oi, cell, p.rep_dim()])
+            assert (rc, out, err) == (0, buf.getvalue(), ""), (n, l, exclude)
 
 
 class TestVerifyCommands:

@@ -270,6 +270,21 @@ def test_echo_names_a_long_int_inside_a_list():
     assert echo(10**45) == "100000000000000000...0000000000000000000"
 
 
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        (lambda: Generic(HUGE), "Generic(n=an integer of 16610 bits)"),
+        (lambda: dimeq.Eisenstein((HUGE, 1), (Generic(HUGE), Generic(1))),
+         "Eisenstein(blocks=(an integer of 16610 bits, 1), "
+         "constituents=(Generic(n=an integer of 16610 bits), Generic(n=1)))"),
+        (lambda: Partition([HUGE]), "Partition([an integer of 16610 bits])"),
+    ],
+)
+def test_repr_names_a_long_int_by_its_size(build, text):
+    # each of these once ended in CPython's bare ValueError from repr()
+    assert repr(build()) == text
+
+
 def test_echo_cuts_at_its_limit():
     text = echo({"a": "x" * 100, "b": "y" * 100, "c": "z" * 100})
     assert len(text) == ECHO_LIMIT == 200

@@ -486,6 +486,19 @@ class TestErrorMessages:
                 lambda: rep_from_json({"kind": "generic"}),
                 "kind 'generic' needs an explicit \"n\" here",
             ),
+            # an expected rank is an int even where the object carries its own
+            (
+                lambda: rep_from_json({"kind": "speh", "p": 2, "q": 1}, 2.0),
+                "rep_from_json needs an integer expected_rank, got 2.0",
+            ),
+            (
+                lambda: rep_from_json({"kind": "generic", "n": 1}, True),
+                "rep_from_json needs an integer expected_rank, got True",
+            ),
+            (
+                lambda: rep_from_json({"kind": "generic"}, 2.0),
+                "rep_from_json needs an integer expected_rank, got 2.0",
+            ),
         ],
     )
     def test_library_path(self, build, message):
@@ -588,9 +601,10 @@ class TestErrorMessages:
         assert _raised(lambda: rep_from_json(rep, 6)) == (InvalidInputError, message)
 
     def test_json_rank_from_context_must_be_an_integer(self):
+        # the expected rank is checked first, under its own name, not as "n"
         assert _raised(lambda: rep_from_json({"kind": "generic"}, expected_rank=2.0)) == (
             InvalidInputError,
-            'generic needs an integer "n", got 2.0',
+            "rep_from_json needs an integer expected_rank, got 2.0",
         )
 
 

@@ -24,9 +24,9 @@ from collections.abc import Callable
 from .equation import (
     DEFAULT_MAX_L,
     DEFAULT_MAX_N,
+    _solve,
     check_dim_equation,
     check_dim_equation_full,
-    enumerate_orbit_solutions,
     reduce_to_whittaker_form,
 )
 from .errors import InternalError, InvalidInputError, ResourceLimitError
@@ -155,28 +155,24 @@ def cmd_equation_reduce(args: argparse.Namespace) -> int:
 def cmd_equation_solve(args: argparse.Namespace) -> int:
     n, l = args.n, args.l
     # --max-one-dominant is parsed and ignored: a proved no-op (README) kept for pinned argv
-    solutions = enumerate_orbit_solutions(
-        n, l, args.exclude_trivial, max_n=args.max_n, max_l=args.max_l
-    )
-    # solutions share one object per orbit, all alive while rendered: an id names one
-    orbits = {id(p): p for sol in solutions for p in sol}
+    orbits, solutions = _solve(n, l, args.exclude_trivial, max_n=args.max_n, max_l=args.max_l)
     if args.format == "csv":
-        # csv.writer quotes a partition exactly when it holds a comma: two or more parts
-        cells = {i: (f'"{p}"' if p.length > 1 else str(p)) + f",{p.rep_dim()}"
-                 for i, p in orbits.items()}
+        # csv.writer quotes a partition exactly when it holds a comma: two or more parts;
+        # each rep_dim is the one the search checked
+        cells = [(f'"{p}"' if p.length > 1 else str(p)) + f",{d}" for p, d in orbits]
         lines = ["n,l,solution_index,orbit_index,partition,rep_dim"]
         lines += [f"{n},{l},{si},{oi},{cells[i]}" for si, sol in enumerate(solutions)
-                  for oi, i in enumerate(map(id, sol))]
+                  for oi, i in enumerate(sol)]
         _write(args, "\n".join(lines))
         return 0
-    # str(p) is also p's compact JSON array
-    labels = {i: str(p) for i, p in orbits.items()}.__getitem__
+    # every orbit is used by some solution; str(p) is also p's compact JSON array
+    labels = [str(p) for p, _ in orbits]
     if args.format == "text":
         lines = [f"{len(solutions)} solution(s) for n={n}, l={l}"]
-        lines += ["  " + " + ".join(map(labels, map(id, sol))) for sol in solutions]
+        lines += ["  " + " + ".join([labels[i] for i in sol]) for sol in solutions]
         _write(args, "\n".join(lines))
     else:
-        rows = ",".join(["[" + ",".join(map(labels, map(id, sol))) + "]" for sol in solutions])
+        rows = ",".join(["[" + ",".join([labels[i] for i in sol]) + "]" for sol in solutions])
         _write(args, f'{{"n":{n},"l":{l},"target":{n * (n - 1) // 2},'
                      f'"count":{len(solutions)},"solutions":[{rows}]}}')
     return 0

@@ -153,6 +153,17 @@ def enumerate_orbit_solutions(
     Refuses searches beyond (max_n, max_l) with ResourceLimitError; a bound
     that admits no search at all (max_n < 2 or max_l < 1) is invalid input.
     """
+    orbits, solutions = _solve(n, l, exclude_trivial, max_n=max_n, max_l=max_l)
+    alphabet = [p for p, _ in orbits]
+    return [tuple([alphabet[i] for i in idxs]) for idxs in solutions]
+
+
+def _solve(
+    n: int, l: int, exclude_trivial: bool, *, max_n: int, max_l: int
+) -> tuple[list[tuple[Partition, int]], list[tuple[int, ...]]]:
+    """enumerate_orbit_solutions by index: (orbits, solutions), where orbits is
+    the (orbit, rep_dim) table in reverse-lexicographic order, every entry used
+    by some solution, and each solution a sorted tuple of indices into it."""
     need_int(n, 2, "solution search")
     need_int(l, 1, "solution search", "l")
     need_int(max_n, 2, "solution search", "max_n")
@@ -189,7 +200,6 @@ def enumerate_orbit_solutions(
     # alike.  Each multiset of dimensions expands inside its equal-dimension groups.
     wanted = sum(1 << (target - d) for d in {d for dimset in found for d in dimset})
     orbits = _orbits_of_costs(n, reach, wanted)
-    alphabet = [p for p, _ in orbits]
     groups: dict[int, list[int]] = {}
     for i, (_, d) in enumerate(orbits):
         groups.setdefault(d, []).append(i)
@@ -202,4 +212,4 @@ def enumerate_orbit_solutions(
         for pick in product(*picks):
             solutions.append(tuple(sorted(chain.from_iterable(pick))))
     solutions.sort()
-    return [tuple([alphabet[i] for i in idxs]) for idxs in solutions]
+    return orbits, solutions

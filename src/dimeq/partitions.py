@@ -158,7 +158,7 @@ class Partition:
             return f"Partition({echo(list(self.parts))})"
 
     def __str__(self) -> str:
-        return "[" + ",".join([",".join([str(v)] * m) for v, m in self._runs]) + "]"
+        return "[" + "".join([f"{v}," * m for v, m in self._runs])[:-1] + "]"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

@@ -26,6 +26,7 @@ VERIFY_ALL_SHA256 = "283cc8e4761017d13f2a187bdef1eef329d1a1002abe7d842b4ecaac98f
 SOLVE_28_5_SHA256 = {
     "json": "eb47519d72ad41846ce92d1a1ac2fd6c1db4cec6d10b94e0061db84148899f22",
     "csv": "8cf770e9acfe2df903b9574271e0cab8d72354a10cc84dce1f15ae44edcfbafc",
+    "text": "d930d2152d9a2a6e9002ccd315c5981dfb24f3c2928004aca2a84ac1a78eea00",
 }
 
 # sha256 of `dimeq equation solve` stdout, one argv per output format.
@@ -321,6 +322,25 @@ class TestEquationCommands:
                     cell = "[" + ",".join(map(str, p.parts)) + "]"
                     writer.writerow([n, l, si, oi, cell, p.rep_dim()])
             assert (rc, out, err) == (0, buf.getvalue(), ""), (n, l, exclude)
+
+    def test_solve_json_and_text_match_the_public_search(self, capsys):
+        # the CLI renders the search's index table; the reference maps the
+        # public partition tuples, so both paths must give the same bytes
+        for n, l, exclude in itertools.product(range(2, 13), range(1, 5), (False, True)):
+            sols = enumerate_orbit_solutions(n, l, exclude)
+            labels = [["[" + ",".join(map(str, p.parts)) + "]" for p in sol] for sol in sols]
+            rows = [[p.parts for p in sol] for sol in sols]
+            want = {
+                "json": json.dumps({"n": n, "l": l, "target": n * (n - 1) // 2,
+                                    "count": len(sols), "solutions": rows},
+                                   separators=(",", ":")) + "\n",
+                "text": "\n".join([f"{len(sols)} solution(s) for n={n}, l={l}"]
+                                  + ["  " + " + ".join(sol) for sol in labels]) + "\n",
+            }
+            for fmt, ref in want.items():
+                argv = ["--n", str(n), "--l", str(l), "--format", fmt]
+                got = run_cli(capsys, "equation", "solve", *argv, *["--exclude-trivial"] * exclude)
+                assert got == (0, ref, ""), (n, l, exclude, fmt)
 
 
 class TestVerifyCommands:

@@ -247,10 +247,27 @@ class TestCostWalk:
             assert got == want, (n, exclude_trivial)
 
     def test_solutions_share_one_object_per_orbit(self):
-        # the CLI renders each orbit once, keyed by id: sharing is what makes
-        # that fast (correctness needs only that every object stays alive)
+        # the public map names each orbit by one object of the search's table,
+        # so equal orbits across solutions are the same object
         orbits = [p for sol in enumerate_orbit_solutions(20, 3, max_n=20) for p in sol]
         assert len({id(p) for p in orbits}) == len(set(orbits)) > 1
+
+    def test_solve_table_is_used_checked_and_shared(self, monkeypatch):
+        # _solve is the search; enumerate_orbit_solutions only maps its indices
+        # onto the objects of the table that _solve returned to it
+        tables = []
+        solve = equation._solve
+        monkeypatch.setattr(equation, "_solve", lambda *a, **k: tables.append(solve(*a, **k))
+                            or tables[-1])
+        for n, l, exclude in itertools.product(range(2, 15), range(1, 5), (False, True)):
+            public = enumerate_orbit_solutions(n, l, exclude, max_n=14)
+            orbits, solutions = tables.pop()
+            assert {i for sol in solutions for i in sol} == set(range(len(orbits))), (n, l)
+            assert all(d == p.rep_dim() for p, d in orbits), (n, l)
+            assert len(public) == len(solutions), (n, l)
+            for got, idxs in zip(public, solutions):
+                assert len(got) == len(idxs)
+                assert all(p is orbits[i][0] for p, i in zip(got, idxs)), (n, l)
 
     def test_wrong_cost_is_an_internal_error(self, monkeypatch):
         rep_dim = Partition.rep_dim

@@ -614,6 +614,26 @@ class TestRunLengthStorage:
         assert text == "[" + ",".join(map(str, p.parts)) + "]"
         assert Partition.parse(text) == p
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_str_matches_join_of_parts(self, seed):
+        # each run's text is one string repeat; parts of 1 to 20 digits, runs up to 2,000
+        rng = random.Random(seed)
+        for _ in range(20):
+            digits = rng.sample(range(1, 21), rng.randint(1, 5))
+            values = sorted({rng.randrange(10 ** (d - 1), 10**d) for d in digits}, reverse=True)
+            p = Partition.from_runs([(v, rng.choice((1, 2, rng.randint(1, 2000))))
+                                     for v in values])
+            assert str(p) == "[" + ",".join(map(str, p.parts)) + "]"
+
+    def test_str_of_an_unprintable_part_raises_value_error(self):
+        # the message is CPython's own, as for str() of the part
+        with pytest.raises(ValueError) as expected:
+            str(10**5000)
+        for runs in ([(10**5000, 1)], [(10**5000, 3), (7, 2)], [(10**5000 + 1, 1), (10**5000, 1)]):
+            with pytest.raises(ValueError) as raised:
+                str(Partition.from_runs(runs))
+            assert str(raised.value) == str(expected.value)
+
     def test_random_runs_match_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies

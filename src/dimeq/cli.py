@@ -42,10 +42,6 @@ from .theorems import (
 )
 
 
-def _dump(payload: object) -> str:
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def _write(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -55,7 +51,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit(args: argparse.Namespace, payload: object, text: str) -> None:
-    _write(args, text if args.format == "text" else _dump(payload))
+    _write(args, text if args.format == "text" else json.dumps(payload, separators=(",", ":")))
 
 
 def _load_json(path: str) -> object:
@@ -360,27 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    except BrokenPipeError:  # --help to a closed stdout
-        return _BROKEN_PIPE
-    try:
-        try:
-            return args.func(args)
-        except ValueError as exc:  # CPython will not print an int of over 4,300 digits
-            # an InvalidInputError may quote the same message about input
-            if type(exc) is ValueError and "integer string conversion" in str(exc):
-                raise ResourceLimitError(f"result too large to print: {exc}") from None
-            raise
-    except BrokenPipeError:  # `dimeq ... | head`: end as a filter SIGPIPE killed
+        return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:  # --help or `dimeq ... | head`: end as a filter SIGPIPE killed
         return _BROKEN_PIPE
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # CPython will not print an int of over 4,300 digits
+        # an InvalidInputError, caught above, may quote the same message about input
+        if type(exc) is not ValueError or "integer string conversion" not in str(exc):
+            raise
+        print(f"resource limit: result too large to print: {exc}", file=sys.stderr)
+        return 3
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

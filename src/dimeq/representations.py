@@ -8,7 +8,7 @@ componentwise sum of the constituents' orbits.  Every descriptor sets its
 orbit and its dimension once, when it is built: Generic, Speh and
 TrivialConstituent by closed forms, ExplicitOrbit from its orbit, Eisenstein
 by the block route (constituent dimensions plus the pairwise block
-products).  dim_rep checks that dimension against the orbit route.
+products).  dim_rep checks all but ExplicitOrbit's against the orbit route.
 """
 
 from __future__ import annotations
@@ -105,15 +105,11 @@ class Eisenstein(RepDescriptor, fields=("blocks", "constituents")):
         constituents = need_tuple(constituents, "Eisenstein", "constituents")
         if len(blocks) < 2:
             raise InvalidInputError(f"Eisenstein needs at least 2 blocks, got {echo(list(blocks))}")
-        # one walk: a block that is not an int or below 1 is reported before any increase
-        decreasing, prev = True, blocks[0]
+        # a block that is not an int or below 1 is reported before any increase
         for b in blocks:
             if need_int(b, None, "Eisenstein", "block") < 1:
                 raise InvalidInputError(f"blocks must be positive, got {echo(list(blocks))}")
-            if prev < b:
-                decreasing = False
-            prev = b
-        if not decreasing:
+        if blocks != tuple(sorted(blocks, reverse=True)):
             raise InvalidInputError(f"blocks must be weakly decreasing, got {echo(list(blocks))}")
         if len(constituents) != len(blocks):
             raise InvalidInputError(f"{len(blocks)} blocks but {len(constituents)} constituents")
@@ -163,9 +159,11 @@ def dim_rep(rep: RepDescriptor) -> int:
     built: a leaf's closed form, or for Eisenstein descriptors the sum of
     the constituents' dimensions plus the pairwise block products.  The
     orbit route is computed here, from the attached orbit, without
-    recursing into constituents.
+    recursing into constituents.  An ExplicitOrbit's dim is its orbit route
+    already, taken from the same orbit when it was built, so it is not
+    recomputed; a forged one is caught by any Eisenstein built over it.
     """
-    d = attached_orbit(rep).rep_dim()
+    d = rep.dim if rep.__class__ is ExplicitOrbit else attached_orbit(rep).rep_dim()
     if rep.dim != d:
         raise InternalError(f"dimension routes disagree: {rep.dim} vs {d} for {echo(rep)}")
     return d

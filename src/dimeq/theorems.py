@@ -114,13 +114,6 @@ def _partition_counts(n: int) -> list[int]:
     return at_most
 
 
-def _of_length(n: int, length: int) -> list[Partition]:
-    """The partitions of n with exactly `length` parts, 1 <= length < n: each
-    partition of n - length into at most `length` parts, plus (1^length)."""
-    ones = Partition.from_runs([(1, length)])
-    return [nu + ones for nu in enumerate_partitions(n - length, max_length=length)]
-
-
 # -- pairwise orbit-size lower bound (rectangular orbits) ----------------------
 
 
@@ -235,10 +228,10 @@ def verify_lemma2(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> VerificationReport:
         if low[length] + low[most] > bound:
             continue
         lams = list(enumerate_partitions(n, max_length=most))
-        for mu in _of_length(n, length):
+        for mu in enumerate_partitions(n, max_length=length):
             for lam in lams:
                 s = mu.orbit_dim() + lam.orbit_dim()
-                if s <= bound:
+                if mu.length == length and s <= bound:
                     violations.append(
                         {
                             "mu": list(mu.parts),
@@ -356,9 +349,9 @@ def verify_lemma2_reduction(n: int, cex_cap: int = DEFAULT_CEX_CAP) -> Verificat
                     {"branch": "i-alt", "m1": m1, "rep_dim": low.rep_dim(), "alternate": alt}
                 )
             if lemma2_I(case.partition, low) <= 0:
-                for mu in _of_length(n, m1):
+                for mu in enumerate_partitions(n, max_length=m1):
                     margin = lemma2_I(case.partition, mu)
-                    if margin <= 0:
+                    if mu.length == m1 and margin <= 0:
                         violations.append(
                             {
                                 "branch": "i",

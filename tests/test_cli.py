@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from dimeq import cli, enumerate_orbit_solutions, representations, theorems
-from dimeq.errors import InternalError
+from dimeq.errors import InternalError, InvalidInputError
 
 # sha256 of the full `dimeq verify all` stdout; any change to a report's
 # bytes, or to which reports the sweep emits, changes it.
@@ -722,18 +722,48 @@ class TestInputBoundary:
         assert rc == 0 and json.loads(out)["by"] == "lemma1"
 
 
+def lemma1_raises(monkeypatch, exc):
+    """Make `verify lemma1` raise exc from inside its command."""
+
+    def broken(n, cex_cap):
+        raise exc
+
+    entry = theorems.VERIFIERS["lemma1"]
+    monkeypatch.setitem(theorems.VERIFIERS, "lemma1", entry._replace(func=broken))
+
+
 class TestPlumbing:
     def test_internal_error_is_exit_4(self, capsys, monkeypatch):
-        def broken(n, cex_cap):
-            raise InternalError("routes disagree")
-
-        entry = theorems.VERIFIERS["lemma1"]
-        monkeypatch.setitem(
-            theorems.VERIFIERS, "lemma1", entry._replace(func=broken)
-        )
+        lemma1_raises(monkeypatch, InternalError("routes disagree"))
         rc, out, err = run_cli(capsys, "verify", "lemma1", "--n", "6")
         assert rc == 4 and out == ""
         assert err == "internal error: routes disagree\n"
+
+    def test_invalid_input_quoting_the_print_limit_is_exit_2(self, capsys, monkeypatch):
+        # an InvalidInputError is a ValueError, and is input at fault, whatever it quotes
+        message = "Exceeds the limit (4300 digits) for integer string conversion"
+        lemma1_raises(monkeypatch, InvalidInputError(message))
+        assert run_cli(capsys, "verify", "lemma1", "--n", "6") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [ValueError("boom"), UnicodeError("integer string conversion")],
+        ids=["other-text", "subclass"],
+    )
+    def test_other_value_errors_propagate(self, monkeypatch, exc):
+        # only a plain ValueError about printing an integer is a resource limit
+        lemma1_raises(monkeypatch, exc)
+        with pytest.raises(type(exc)) as raised:
+            cli.run(["verify", "lemma1", "--n", "6"])
+        assert raised.value is exc
+
+    def test_error_while_filling_a_parser_gets_its_exit_code(self, capsys, monkeypatch):
+        def broken(group):
+            raise InternalError("no leaves")
+
+        monkeypatch.setattr(cli, "_partition_leaves", broken)
+        rc, out, err = run_cli(capsys, "partition", "dim", "[3]")
+        assert (rc, out, err) == (4, "", "internal error: no leaves\n")
 
     def test_forged_descriptor_dim_is_exit_4(self, capsys, monkeypatch, tmp_path):
         # every generic the reader builds claims one dimension too many, so

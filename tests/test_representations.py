@@ -191,9 +191,14 @@ class TestDimensions:
             "dimension routes disagree: 4 vs 3 for Eisenstein(blocks=(3, 1), "
             "constituents...tituent(n=3), TrivialConstituent(n=1)))"
         )
-        for rep in (Generic(4), Speh(2, 2), T(4), ExplicitOrbit(Partition([3, 1]))):
+        for rep in (Generic(4), Speh(2, 2), T(4)):
             with pytest.raises(InternalError, match="^dimension routes disagree: "):
                 dim_rep(forged(rep))
+        # an explicit orbit's dim is its orbit route, so dim_rep returns it as it is;
+        # a forged one is caught by the Eisenstein built over it
+        over = Eisenstein((3, 1), (forged(ExplicitOrbit(Partition([2, 1]))), T(1)))
+        with pytest.raises(InternalError, match="^dimension routes disagree: "):
+            dim_rep(over)
         # a forged constituent carries into the dim of every descriptor built on it
         outer = Eisenstein((6, 2), (Eisenstein((4, 2), (forged(Speh(2, 2)), T(2))), T(2)))
         with pytest.raises(InternalError, match="^dimension routes disagree: 25 vs 24 "):
